@@ -131,11 +131,14 @@ def _std(values: list[float]) -> float:
     return math.sqrt(_mean([(v - m) ** 2 for v in values]))
 
 
-def run(config: ExperimentConfig) -> list[ResultRow]:
-    """Train/evaluate one configuration per replicate seed, plus mean/std rows."""
+def _replicate_data(config: ExperimentConfig):
+    """The shared held-out batch and each replicate's (transformed) training batch.
+
+    They depend only on the data and transform sections, so every run of a
+    sweep that shares those sections trains and evaluates on the same batches.
+    """
     test_batch = generate(held_out_spec(config.data))
-    rows: list[ResultRow] = []
-    per_seed = []
+    batches = []
     for seed in config.replicate_seeds:
         batch = generate(replace(config.data, seed=splitmix64_at(seed, _TAG_GENERATE)))
         if config.transform.kind is not TransformKind.ORIGINAL:
@@ -147,6 +150,15 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
                 jitter_sigma=config.data.jitter_sigma,
                 growth_factor=config.transform.growth_factor,
             )
+        batches.append(batch)
+    return test_batch, batches
+
+
+def _run_on(config: ExperimentConfig, test_batch, batches) -> list[ResultRow]:
+    """Train/evaluate once per replicate on prepared data, plus mean/std rows."""
+    rows: list[ResultRow] = []
+    per_seed = []
+    for seed, batch in zip(config.replicate_seeds, batches):
         train_spec = replace(config.train, seed=splitmix64_at(seed, _TAG_TRAINER))
         model = train(batch, config.loss, config.model, train_spec)
         m = evaluate(model, test_batch, config.eval_threshold)
@@ -169,28 +181,35 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+def run(config: ExperimentConfig) -> list[ResultRow]:
+    """Train/evaluate one configuration per replicate seed, plus mean/std rows."""
+    return _run_on(config, *_replicate_data(config))
+
+
 def sweep(
     config: ExperimentConfig,
     losses: list[LossKind],
     ratios: list[float],
 ) -> list[ResultRow]:
-    """Cross every loss kind with every imbalance ratio."""
+    """Cross every loss kind with every imbalance ratio.
+
+    Runs go ratio by ratio, so each ratio's data is generated once and shared
+    by all loss kinds; sort_rows fixes the output order.
+    """
     if not losses or not ratios:
         raise ValueError("sweep needs at least one loss and one ratio")
+    kinds = [LossKind(kind) for kind in losses]
     rows: list[ResultRow] = []
-    for kind in losses:
-        for ratio in ratios:
-            sub = replace(
-                config,
-                data=replace(config.data, ratio=float(ratio)),
-                loss=replace(config.loss, kind=LossKind(kind)),
-            )
-            rows.extend(run(sub))
+    for ratio in ratios:
+        group = replace(config, data=replace(config.data, ratio=float(ratio)))
+        data = _replicate_data(group)
+        for kind in kinds:
+            rows.extend(_run_on(replace(group, loss=replace(config.loss, kind=kind)), *data))
     return sort_rows(rows)
 
 
 def sweep_tversky(config: ExperimentConfig, alphas: list[float]) -> list[ResultRow]:
-    """Trade precision against recall along beta = 1 - alpha."""
+    """Trade precision against recall along beta = 1 - alpha; every alpha shares the data."""
     if config.loss.kind is not LossKind.TL:
         raise ValueError("sweep_tversky requires a Tversky loss config")
     if not alphas:
@@ -198,10 +217,11 @@ def sweep_tversky(config: ExperimentConfig, alphas: list[float]) -> list[ResultR
     for a in alphas:
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1] for the beta = 1 - alpha sweep, got {a}")
+    data = _replicate_data(config)
     rows: list[ResultRow] = []
     for a in sorted(alphas):
         sub = replace(config, loss=replace(config.loss, alpha=float(a), beta=1.0 - float(a)))
-        rows.extend(run(sub))
+        rows.extend(_run_on(sub, *data))
     return sort_rows(rows)
 
 
@@ -270,14 +290,38 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2) + "\n"
 
 
+# JSON types a field accepts, by its annotation. The enum fields take their
+# value string (both enums are str subclasses) and their constructors reject
+# unknown values. bool is an int subclass in Python, so it is excluded by hand.
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "bool": (bool,),
+    "str": (str,),
+    "LossKind": (str,),
+    "TransformKind": (str,),
+}
+
+
+def _check_json_type(name: str, value, annotation: str) -> None:
+    accepted = _JSON_TYPES.get(annotation)
+    if accepted is None:
+        raise TypeError(f"config {name} is annotated {annotation!r}, which has no JSON type check")
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise ValueError(f"config {name} must be {annotation}, got {value!r}")
+
+
 def _build_section(cls, payload: dict, section: str):
     values = payload.get(section, {})
     if not isinstance(values, dict):
         raise ValueError(f"config section {section!r} must be an object")
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(values) - allowed
+    fields = cls.__dataclass_fields__
+    unknown = set(values) - set(fields)
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    for key, value in values.items():
+        _check_json_type(f"{section}.{key}", value, fields[key].type)
     return cls(**values)
 
 
@@ -300,9 +344,15 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         "train": _build_section(TrainSpec, payload, "train"),
     }
     if "eval_threshold" in payload:
+        _check_json_type("eval_threshold", payload["eval_threshold"], "float")
         kwargs["eval_threshold"] = float(payload["eval_threshold"])
     if "replicate_seeds" in payload:
-        kwargs["replicate_seeds"] = tuple(payload["replicate_seeds"])
+        seeds = payload["replicate_seeds"]
+        if not isinstance(seeds, list):
+            raise ValueError(f"config replicate_seeds must be a list of integers, got {seeds!r}")
+        for seed in seeds:
+            _check_json_type("replicate_seeds", seed, "int")
+        kwargs["replicate_seeds"] = tuple(seeds)
     return ExperimentConfig(**kwargs)
 
 

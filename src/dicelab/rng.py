@@ -113,5 +113,10 @@ def permutation_keys(seed: int, n: int) -> np.ndarray:
 
 
 def permutation(seed: int, n: int) -> np.ndarray:
-    """Deterministic permutation of range(n): argsort of the splitmix64 key stream."""
-    return np.argsort(permutation_keys(seed, n), kind="stable")
+    """Deterministic permutation of range(n): argsort of the splitmix64 key stream.
+
+    The keys never tie: seed + i*golden is distinct for every i < 2**64 (golden
+    is odd) and the mixer is a bijection. Any correct sort therefore yields the
+    same order, so the unstable default sort is used for speed.
+    """
+    return np.argsort(permutation_keys(seed, n))

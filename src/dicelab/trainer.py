@@ -26,7 +26,7 @@ _EPOCH_STREAM_OFFSET = 4
 
 
 class TrainingDivergedError(RuntimeError):
-    """The batch loss became non-finite during training."""
+    """The batch loss or its parameter gradient became non-finite during training."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,19 @@ def initial_parameters(model_spec: ModelSpec, input_dim: int, train_spec: TrainS
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipping to +-708 keeps exp() inside float range; the result saturates
-    # to exactly 0.0 / 1.0 well before the clip matters.
-    z = np.clip(z, -708.0, 708.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    """Logistic function, computed in place in the fresh array z.
+
+    Clipping to +-708 keeps exp() inside float range; the result saturates
+    to exactly 0.0 / 1.0 well before the clip matters. The max/min pair is
+    np.clip (NaN included) without its dispatch cost, which counts on the
+    per-batch path.
+    """
+    np.maximum(z, -708.0, out=z)
+    np.minimum(z, 708.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _forward_parts(params: np.ndarray, model_spec: ModelSpec, x: np.ndarray):
@@ -154,7 +163,7 @@ def _backward(
     if model_spec.arch == "linear":
         grad = np.empty(d + 1, dtype=np.float64)
         grad[:d] = x.T @ dz
-        grad[d] = np.sum(dz)
+        grad[d] = dz.sum()
         return grad
     h = model_spec.hidden_units
     w2 = params[h * d + h : h * d + 2 * h]
@@ -175,7 +184,11 @@ def loss_and_param_grad(
     loss_spec: LossSpec,
     class_weights: tuple[float, float] | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Batch loss and its analytic gradient in the flat parameter vector."""
+    """Batch loss and its analytic gradient in the flat parameter vector.
+
+    The bias gradient (the last entry in both layouts) is the sum of dz, so
+    it is non-finite whenever any example's gradient is.
+    """
     p1, hidden = _forward_parts(params, model_spec, x)
     value, dvalue_dp1 = losses.batch_value_grad(loss_spec, p1, y1, class_weights)
     dz = dvalue_dp1 * p1 * (1.0 - p1)
@@ -224,9 +237,10 @@ def train(
             xb = xs[start : start + batch]
             yb = ys[start : start + batch]
             value, grad = loss_and_param_grad(params, model_spec, xb, yb, loss_spec, class_weights)
-            if not math.isfinite(value):
+            if not (math.isfinite(value) and math.isfinite(grad[-1])):
                 raise TrainingDivergedError(
-                    f"non-finite loss {value!r} at epoch {epoch}, batch starting at {start}"
+                    f"{loss_spec.kind.value}: non-finite loss {value!r} or bias gradient "
+                    f"{float(grad[-1])!r} at epoch {epoch}, batch starting at {start}"
                 )
             params -= lr * grad
             running += value * xb.shape[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import tiny_config
 from dicelab.data import DataSpec, TransformKind
+from dicelab import experiments
 from dicelab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -220,6 +222,63 @@ def test_config_from_dict_rejects_unknown_or_missing_keys():
         config_from_dict({**good, "loss": {"kind": "BOGUS"}})
     with pytest.raises(ValueError):
         config_from_dict([])
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("data", "n_positive", 5.5),
+        ("data", "n_positive", True),
+        ("data", "feature_dim", 2.0),
+        ("data", "seed", "7"),
+        ("data", "ratio", "10"),
+        ("data", "ratio", True),
+        ("loss", "kind", 1),
+        ("loss", "gamma", "1"),
+        ("loss", "detach_weight", 1),
+        ("model", "hidden_units", 4.0),
+        ("train", "epochs", True),
+        ("train", "batch_size", 16.0),
+        ("train", "seed", False),
+        ("transform", "kind", ["original"]),
+        ("transform", "growth_factor", None),
+    ],
+)
+def test_config_from_dict_rejects_mistyped_fields(section, key, value):
+    payload = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}}
+    payload.setdefault(section, {})[key] = value
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
+        config_from_dict(payload)
+
+
+@pytest.mark.parametrize("seeds", ["123", 7, [1, 2.5], [True], {"a": 1}])
+def test_config_from_dict_rejects_replicate_seeds_that_are_not_a_list_of_integers(seeds):
+    payload = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}, "replicate_seeds": seeds}
+    with pytest.raises(ValueError, match="replicate_seeds"):
+        config_from_dict(payload)
+
+
+def test_config_from_dict_rejects_a_non_numeric_threshold():
+    payload = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}, "eval_threshold": "0.4"}
+    with pytest.raises(ValueError, match="eval_threshold"):
+        config_from_dict(payload)
+
+
+def test_every_config_field_has_a_json_type_check():
+    for cls in (DataSpec, LossSpec, TransformSpec, ModelSpec, TrainSpec):
+        for field in dataclasses.fields(cls):
+            assert field.type in experiments._JSON_TYPES, f"{cls.__name__}.{field.name}: {field.type!r}"
+
+
+def test_a_field_annotation_without_a_json_type_check_is_an_error():
+    with pytest.raises(TypeError, match="data.n_positive"):
+        experiments._check_json_type("data.n_positive", 5, "int | None")
+
+
+def test_config_from_dict_accepts_integers_in_float_fields():
+    payload = {"data": {"n_positive": 10, "ratio": 2}, "loss": {"kind": "TL", "alpha": 0, "beta": 1}}
+    config = config_from_dict(payload)
+    assert config.data.ratio == 2.0 and config.loss.alpha == 0.0
 
 
 def test_loaded_config_runs_identically_to_the_original(tmp_path):

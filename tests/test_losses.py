@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicelab.losses import (
+    KERNELS,
     NEGATIVE,
     POSITIVE,
     WEIGHTED_KINDS,
@@ -460,6 +461,66 @@ def test_sample_gradients_match_central_differences(kind, p1, label, gamma, alph
     analytic = float(sample_grad(spec, p1, y1, class_weight))
     estimate = _central_diff(lambda q: float(sample_value(spec, q, y1, class_weight)), p1)
     assert analytic == pytest.approx(estimate, rel=1e-4, abs=1e-7)
+
+
+# --- fused kernels ----------------------------------------------------------
+
+_BATCHES = st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 1)), min_size=1, max_size=16)
+
+
+def _kernel_inputs(kind, batch, alpha, beta, gamma, weight, detach):
+    p1 = np.array([p for p, _ in batch])
+    y1 = np.array([float(label) for _, label in batch])
+    spec = LossSpec(kind, alpha=alpha, beta=beta, gamma=gamma, detach_weight=detach)
+    weights = np.where(y1 == 1.0, weight, 0.5 * weight) if kind in WEIGHTED_KINDS else 1.0
+    return spec, p1, y1, weights
+
+
+_KERNEL_CASES = dict(
+    kind=st.sampled_from(list(LossKind)),
+    batch=_BATCHES,
+    alpha=st.floats(0.0, 2.0),
+    beta=st.floats(0.0, 2.0),
+    gamma=st.floats(0.01, 3.0),
+    weight=st.floats(0.0, 3.0),
+    detach=st.booleans(),
+)
+
+
+@given(**_KERNEL_CASES)
+@settings(max_examples=300, deadline=None)
+def test_kernel_values_equal_the_value_references_bit_for_bit(kind, batch, alpha, beta, gamma, weight, detach):
+    spec, p1, y1, weights = _kernel_inputs(kind, batch, alpha, beta, gamma, weight, detach)
+    with np.errstate(all="ignore"):
+        values, _ = KERNELS[kind](spec, p1, y1, weights)
+    if kind is LossKind.DL_SET:
+        expected = set_dice_value(p1, y1, gamma)
+    else:
+        expected = sample_value(spec, p1, y1, weights)
+    assert np.asarray(values).tobytes() == np.asarray(expected).tobytes()
+
+
+@given(**_KERNEL_CASES)
+@settings(max_examples=300, deadline=None)
+def test_kernel_gradients_are_finite_on_the_closed_unit_interval(kind, batch, alpha, beta, gamma, weight, detach):
+    spec, p1, y1, weights = _kernel_inputs(kind, batch, alpha, beta, gamma, weight, detach)
+    with np.errstate(all="ignore"):
+        values, grads = KERNELS[kind](spec, p1, y1, weights)
+    assert np.all(np.isfinite(values))
+    defined = np.ones(p1.shape, dtype=bool)
+    if kind is LossKind.DSC_SELFADJ and not detach and 0.0 < alpha < 1.0:
+        # The exact derivative of (1 - p1)**alpha * p1 is -inf at p1 = 1; the
+        # trainer's gradient check is what stops it from reaching parameters.
+        defined = p1 < 1.0
+    assert np.all(np.isfinite(np.asarray(grads)[defined]))
+
+
+def test_sample_grad_is_the_gradient_the_trainer_descends():
+    spec = LossSpec(LossKind.TL, alpha=0.3, beta=0.7)
+    p1 = np.linspace(0.0, 1.0, 11)
+    y1 = (np.arange(11) % 2).astype(np.float64)
+    _, batch_grads = batch_value_grad(spec, p1, y1)
+    assert (sample_grad(spec, p1, y1) / 11).tobytes() == batch_grads.tobytes()
 
 
 def test_cross_entropy_grad_matches_closed_form():

@@ -204,6 +204,14 @@ def test_permutation_is_stable_argsort_of_keys():
     assert np.array_equal(perm, expected)
 
 
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_permutation_keys_never_tie_so_any_sort_gives_the_stable_order(seed, n):
+    keys = permutation_keys(seed, n)
+    assert np.unique(keys).size == n
+    assert np.array_equal(permutation(seed, n), np.argsort(keys, kind="stable"))
+
+
 def test_permutation_deterministic_and_seed_sensitive():
     assert np.array_equal(permutation(1, 100), permutation(1, 100))
     assert not np.array_equal(permutation(1, 100), permutation(2, 100))

@@ -240,6 +240,21 @@ def test_non_finite_features_abort_training():
         train(data, LossSpec(LossKind.CE), train_spec=TrainSpec(epochs=1))
 
 
+def test_non_finite_gradient_aborts_before_the_update():
+    # p1 saturates to exactly 1.0 on the positive row; the exact self-adjusting
+    # gradient is then (-inf) - (-inf) while the loss value stays finite.
+    spec = LossSpec(LossKind.DSC_SELFADJ, alpha=0.5, detach_weight=False)
+    train_spec = TrainSpec(epochs=1, batch_size=2, seed=3)
+    params = initial_parameters(ModelSpec(), 2, train_spec)
+    features = np.array([np.sign(params[:2]) * 1e4, [-1.0, -1.0]])
+    data = LabeledBatch.from_arrays(features, np.array([1, 0], dtype=np.int64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, grad = loss_and_param_grad(params, ModelSpec(), features, np.array([1.0, 0.0]), spec)
+        assert math.isfinite(value) and not np.all(np.isfinite(grad))
+        with pytest.raises(TrainingDivergedError, match="DSC_selfadj.*epoch 0.*batch starting at 0"):
+            train(data, spec, train_spec=train_spec)
+
+
 def test_training_rejects_empty_data():
     empty = LabeledBatch.from_arrays(np.zeros((0, 2)), np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
