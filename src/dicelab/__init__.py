@@ -6,135 +6,10 @@ self-adjusting dice, focal), each wired with a hand-derived gradient, plus a
 bit-reproducible synthetic data generator, a deterministic SGD trainer,
 finite-difference gradient audits, and an experiment runner that reports
 precision/recall/F1/accuracy across imbalance ratios.
+
+Import the API from its submodules: `dicelab.losses`, `dicelab.metrics`,
+`dicelab.rng`, `dicelab.data`, `dicelab.trainer`, `dicelab.verify`,
+`dicelab.experiments` and `dicelab.cli`.
 """
 
-from .data import (
-    DataSpec,
-    InfeasibleTransformError,
-    LabeledBatch,
-    TransformKind,
-    generate,
-    load_csv,
-    save_csv,
-    transform,
-)
-from .losses import (
-    BatchLossValueGrad,
-    LossKind,
-    LossSpec,
-    LossValueGrad,
-    OneHotLabel,
-    ProbPair,
-    SingularInputError,
-    batch_mean_loss,
-    batch_value_grad,
-    class_weight_coefficient,
-    cross_entropy_loss,
-    dice_coefficient_sample,
-    dice_loss,
-    focal_loss,
-    sample_grad,
-    sample_value,
-    self_adjusting_dice_loss,
-    set_dice_loss,
-    tversky_loss,
-    weighted_cross_entropy_loss,
-)
-from .metrics import (
-    ClassifierMetrics,
-    ConfusionCounts,
-    binary_metrics,
-    confusion,
-    harden,
-    metrics_from_counts,
-    set_dice,
-)
-from .rng import SplitMix64, Xoshiro256StarStar, permutation, splitmix64_at
-from .trainer import (
-    ModelSpec,
-    TrainedModel,
-    TrainingDivergedError,
-    TrainSpec,
-    compute_class_weights,
-    evaluate,
-    forward,
-    forward_p1,
-    train,
-)
-from .verify import (
-    GradCheckReport,
-    brute_force_best_threshold_f1,
-    finite_diff_grad,
-    gradcheck_all,
-)
-from .experiments import (
-    ExperimentConfig,
-    ResultRow,
-    TransformSpec,
-    run,
-    sweep,
-    sweep_tversky,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchLossValueGrad",
-    "ClassifierMetrics",
-    "ConfusionCounts",
-    "DataSpec",
-    "ExperimentConfig",
-    "GradCheckReport",
-    "InfeasibleTransformError",
-    "LabeledBatch",
-    "LossKind",
-    "LossSpec",
-    "LossValueGrad",
-    "ModelSpec",
-    "OneHotLabel",
-    "ProbPair",
-    "ResultRow",
-    "SingularInputError",
-    "SplitMix64",
-    "TrainSpec",
-    "TrainedModel",
-    "TrainingDivergedError",
-    "TransformKind",
-    "TransformSpec",
-    "Xoshiro256StarStar",
-    "batch_mean_loss",
-    "batch_value_grad",
-    "binary_metrics",
-    "brute_force_best_threshold_f1",
-    "class_weight_coefficient",
-    "compute_class_weights",
-    "confusion",
-    "cross_entropy_loss",
-    "dice_coefficient_sample",
-    "dice_loss",
-    "evaluate",
-    "finite_diff_grad",
-    "focal_loss",
-    "forward",
-    "forward_p1",
-    "generate",
-    "gradcheck_all",
-    "harden",
-    "load_csv",
-    "metrics_from_counts",
-    "permutation",
-    "run",
-    "sample_grad",
-    "sample_value",
-    "save_csv",
-    "self_adjusting_dice_loss",
-    "set_dice",
-    "set_dice_loss",
-    "splitmix64_at",
-    "sweep",
-    "sweep_tversky",
-    "train",
-    "transform",
-    "tversky_loss",
-    "weighted_cross_entropy_loss",
-]

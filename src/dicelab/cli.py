@@ -85,7 +85,12 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config; defaults apply when omitted")
     parser.add_argument("--loss", choices=_LOSS_CHOICES, help="override the loss kind")
     parser.add_argument("--ratio", type=float, help="override the negative:positive ratio")
-    parser.add_argument("--seed", type=int, help="override the base data seed")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help="override data.seed, which seeds only the held-out set (as seed + 1); "
+        "training data come from the replicate seeds",
+    )
     parser.add_argument("--epochs", type=int, help="override the epoch count")
     parser.add_argument("--alpha", type=float, help="override the loss alpha")
     parser.add_argument("--beta", type=float, help="override the loss beta")

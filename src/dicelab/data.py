@@ -81,16 +81,10 @@ class DataSpec:
 
 @dataclass
 class LabeledBatch:
-    """Feature matrix (n, d), 0/1 labels (n,), and stored per-class counts.
-
-    counts is (n_negative, n_positive), indexable by class id. It is carried
-    along explicitly so downstream code never has to rescan labels, and a
-    recount() mismatch signals a broken transform.
-    """
+    """Feature matrix (n, d) and 0/1 labels (n,); class counts are read off the labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    counts: tuple[int, int]
 
     @classmethod
     def from_arrays(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledBatch":
@@ -100,8 +94,7 @@ class LabeledBatch:
             raise ValueError("features must be (n, d) aligned with (n,) labels")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")
-        n_pos = int(np.sum(labels == 1))
-        return cls(features, labels, (labels.shape[0] - n_pos, n_pos))
+        return cls(features, labels)
 
     @property
     def n(self) -> int:
@@ -109,27 +102,18 @@ class LabeledBatch:
 
     @property
     def n_positive(self) -> int:
-        return self.counts[1]
+        return int(np.count_nonzero(self.labels == 1))
 
     @property
     def n_negative(self) -> int:
-        return self.counts[0]
+        return self.n - self.n_positive
 
     @property
     def positive_fraction(self) -> float:
-        return self.counts[1] / self.n
-
-    def recount(self) -> tuple[int, int]:
-        n_pos = int(np.sum(self.labels == 1))
-        return (self.labels.shape[0] - n_pos, n_pos)
+        return self.n_positive / self.n
 
     def copy(self) -> "LabeledBatch":
-        return LabeledBatch(self.features.copy(), self.labels.copy(), self.counts)
-
-    def one_hot_labels(self):
-        from .losses import OneHotLabel
-
-        return [OneHotLabel.from_class(int(c)) for c in self.labels]
+        return LabeledBatch(self.features.copy(), self.labels.copy())
 
 
 def _fill_cluster(rng: Xoshiro256StarStar, out: np.ndarray, center: float) -> None:
@@ -155,7 +139,7 @@ def generate(spec: DataSpec) -> LabeledBatch:
 
     labels = np.zeros(n_pos + n_neg, dtype=np.int64)
     labels[:n_pos] = 1
-    return LabeledBatch(features, labels, (n_neg, n_pos))
+    return LabeledBatch(features, labels)
 
 
 def _jittered_copies(
@@ -235,7 +219,7 @@ def transform(
         new_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 1), n_add, jitter_sigma)
         out_features = np.concatenate([features, new_rows])
         out_labels = np.concatenate([labels, np.ones(n_add, dtype=np.int64)])
-        return LabeledBatch(out_features, out_labels, (n_neg, n_pos + n_add))
+        return LabeledBatch(out_features, out_labels)
 
     if kind is TransformKind.ADD_NEGATIVE:
         if n_neg == 0:
@@ -252,7 +236,7 @@ def transform(
         new_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 0), n_add, jitter_sigma)
         out_features = np.concatenate([features, new_rows])
         out_labels = np.concatenate([labels, np.zeros(n_add, dtype=np.int64)])
-        return LabeledBatch(out_features, out_labels, (n_neg + n_add, n_pos))
+        return LabeledBatch(out_features, out_labels)
 
     if kind is TransformKind.DOWNSAMPLE_NEGATIVE:
         if target <= 0.0:
@@ -271,7 +255,7 @@ def transform(
             neg_positions[i], neg_positions[j] = neg_positions[j], neg_positions[i]
         keep = np.ones(batch.n, dtype=bool)
         keep[neg_positions[:n_remove]] = False
-        return LabeledBatch(features[keep].copy(), labels[keep].copy(), (n_neg_target, n_pos))
+        return LabeledBatch(features[keep].copy(), labels[keep].copy())
 
     if kind is TransformKind.ADD_BOTH:
         if growth_factor < 1.0:
@@ -286,7 +270,7 @@ def transform(
         out_labels = np.concatenate(
             [labels, np.ones(n_add_pos, dtype=np.int64), np.zeros(n_add_neg, dtype=np.int64)]
         )
-        return LabeledBatch(out_features, out_labels, (n_neg + n_add_neg, n_pos + n_add_pos))
+        return LabeledBatch(out_features, out_labels)
 
     raise ValueError(f"unknown transform kind {kind!r}")
 
@@ -309,20 +293,28 @@ def save_csv(batch: LabeledBatch, path) -> None:
 
 
 def load_csv(path) -> LabeledBatch:
+    """Read a batch written by save_csv; every feature cell must be a finite number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+        lines = [line.strip() for line in fh]
+    filled = (number for number, line in enumerate(lines, start=1) if line)  # skips blank lines
+    header_number = next(filled, None)
+    if header_number is None:
         raise ValueError(f"{path} is empty")
-    header = lines[0].split(",")
+    header = lines[header_number - 1].split(",")
     if header[-1] != "label" or any(h != f"f{j}" for j, h in enumerate(header[:-1])):
         raise ValueError(f"unexpected header {header!r}")
     d = len(header) - 1
     rows = []
     labels = []
-    for line in lines[1:]:
-        cells = line.split(",")
+    for number in filled:
+        cells = lines[number - 1].split(",")
         if len(cells) != d + 1:
-            raise ValueError(f"row has {len(cells)} cells, expected {d + 1}")
+            raise ValueError(f"{path}:{number}: row has {len(cells)} cells, expected {d + 1}")
         rows.append([float(c) for c in cells[:-1]])
         labels.append(int(cells[-1]))
-    return LabeledBatch.from_arrays(np.array(rows, dtype=np.float64), np.array(labels))
+    features = np.array(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
+        number = [n for n, line in enumerate(lines, start=1) if line][1 + row]
+        raise ValueError(f"{path}:{number}: feature values must be finite, got {lines[number - 1]!r}")
+    return LabeledBatch.from_arrays(features, np.array(labels))

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .data import DataSpec, TransformKind, generate, transform
 from .losses import LossKind, LossSpec
+from .metrics import ClassifierMetrics
 from .rng import splitmix64_at
 from .trainer import ModelSpec, TrainSpec, evaluate, train
 
@@ -66,6 +67,9 @@ class ExperimentConfig:
         object.__setattr__(self, "replicate_seeds", tuple(int(s) for s in self.replicate_seeds))
         if len(self.replicate_seeds) == 0:
             raise ValueError("replicate_seeds must be nonempty")
+        for seed in self.replicate_seeds:
+            if not (0 <= seed < 2**64):
+                raise ValueError(f"replicate_seeds must lie in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,6 @@ def _row(config: ExperimentConfig, seed_label: str, m) -> ResultRow:
         f1=m.f1,
         accuracy=m.accuracy,
     )
-
-
-@dataclass(frozen=True)
-class _Aggregate:
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
 
 
 def _mean(values: list[float]) -> float:
@@ -170,7 +166,7 @@ def _run_on(config: ExperimentConfig, test_batch, batches) -> list[ResultRow]:
             _row(
                 config,
                 label,
-                _Aggregate(
+                ClassifierMetrics(
                     agg([m.precision for m in per_seed]),
                     agg([m.recall for m in per_seed]),
                     agg([m.f1 for m in per_seed]),

@@ -10,8 +10,8 @@ loss also keeps a value-only reference, which the finite-difference audit
 differences, so the gradients stay auditable.
 
 Kernels and value functions accept floats or numpy arrays interchangeably.
-The typed wrappers (ProbPair / OneHotLabel in, LossValueGrad out) validate
-their inputs and are the reference scalar interface.
+`batch_value_grad` is the trainer's entry point; `batch_mean_loss` is the
+same reduction over validated ProbPair / OneHotLabel lists.
 """
 
 from __future__ import annotations
@@ -19,12 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
+import sys
 
 import numpy as np
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any logarithm.
 # Dice-family losses are rational in p1 and are never clamped.
 PROB_EPS = 1e-7
+
+# Smallest positive dice-family smoothing gamma. Every dice denominator is at
+# least gamma, so its square (the gradient's denominator) stays nonzero.
+MIN_DICE_GAMMA = math.sqrt(sys.float_info.min)
 
 
 class SingularInputError(ValueError):
@@ -136,16 +141,13 @@ class LossSpec:
             raise ValueError("alpha and beta must be nonnegative")
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
+        if kind in DICE_FAMILY and 0.0 < self.gamma < MIN_DICE_GAMMA:
+            raise ValueError(
+                f"gamma for {kind.value} must be 0 or at least {MIN_DICE_GAMMA!r}, got {self.gamma!r}; "
+                "a smaller gamma underflows the squared denominator of the gradient"
+            )
         if self.k <= 0.0:
             raise ValueError("k must be positive")
-
-
-@dataclass(frozen=True)
-class LossValueGrad:
-    """Scalar loss value and its derivative with respect to p1."""
-
-    value: float
-    dvalue_dp1: float
 
 
 @dataclass(frozen=True)
@@ -247,22 +249,18 @@ def focal_value(p1, y1, gamma_focus, weight):
     return -weight * (1.0 - p_true) ** gamma_focus * np.log(p_true)
 
 
-def class_weight_coefficient(n_total: int, n_class: int, k: float, base: float = 10.0) -> float:
-    """Frequency-derived class weight log_base((n_total - n_class) / n_class + k).
+def class_weight_coefficient(n_total: int, n_class: int, k: float) -> float:
+    """Frequency-derived class weight log10((n_total - n_class) / n_class + k).
 
     Rare classes get large weights; with k = 1 a balanced class gets
-    log10(2) ~= 0.301. The log base is configurable but defaults to 10.
+    log10(2) ~= 0.301.
     """
     if not (0 < n_class <= n_total):
         raise ValueError(f"need 0 < n_class <= n_total, got {n_class} of {n_total}")
     argument = (n_total - n_class) / n_class + k
     if argument <= 0.0:
         raise ValueError(f"log argument must be positive, got {argument}")
-    if base == 10.0:
-        return math.log10(argument)
-    if base <= 0.0 or base == 1.0:
-        raise ValueError(f"invalid log base {base}")
-    return math.log(argument) / math.log(base)
+    return math.log10(argument)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +358,9 @@ KERNELS = {
     LossKind.FL: _focal_kernel,
 }
 
-_CE = LossSpec(LossKind.CE)
-
 
 def cross_entropy_grad(p1, y1):
-    return _cross_entropy_kernel(_CE, p1, y1, 1.0)[1]
+    return _cross_entropy_kernel(LossSpec(LossKind.CE), p1, y1, 1.0)[1]
 
 
 def dice_grad(p1, y1, gamma):
@@ -379,72 +375,6 @@ def set_dice_grads(p1, y1, gamma) -> np.ndarray:
 def self_adjusting_dice_grad(p1, y1, alpha, gamma, detach_weight=False):
     spec = LossSpec(LossKind.DSC_SELFADJ, alpha=alpha, gamma=gamma, detach_weight=detach_weight)
     return _self_adjusting_dice_kernel(spec, p1, y1, 1.0)[1]
-
-
-# ---------------------------------------------------------------------------
-# Typed scalar interface.
-# ---------------------------------------------------------------------------
-
-
-def _scalar(spec: LossSpec, p: ProbPair, y: OneHotLabel, class_weight: float = 1.0) -> LossValueGrad:
-    """One kernel call on a typed pair; LossSpec has already checked the hyperparameters."""
-    _require_finite("class_weight", class_weight)
-    if class_weight < 0.0:
-        raise ValueError(f"class_weight must be nonnegative, got {class_weight}")
-    value, grad = KERNELS[spec.kind](spec, p.p1, y.y1, class_weight)
-    return LossValueGrad(float(value), float(grad))
-
-
-def cross_entropy_loss(p: ProbPair, y: OneHotLabel) -> LossValueGrad:
-    """Negative log likelihood of the gold class, clamped before the log."""
-    return _scalar(_CE, p, y)
-
-
-def weighted_cross_entropy_loss(p: ProbPair, y: OneHotLabel, class_weight: float) -> LossValueGrad:
-    """Cross entropy scaled by the (nonnegative) weight of the gold class."""
-    return _scalar(LossSpec(LossKind.WCE), p, y, class_weight)
-
-
-def dice_coefficient_sample(p: ProbPair, y: OneHotLabel, gamma: float = 1.0) -> float:
-    """Per-sample soft dice coefficient (a similarity, not a loss)."""
-    gamma = LossSpec(LossKind.DL_SAMPLE, gamma=gamma).gamma  # LossSpec validates gamma
-    return float(soft_dice_coefficient(p.p1, y.y1, gamma))
-
-
-def dice_loss(p: ProbPair, y: OneHotLabel, gamma: float = 1.0) -> LossValueGrad:
-    """Per-sample dice loss with squared-denominator smoothing."""
-    return _scalar(LossSpec(LossKind.DL_SAMPLE, gamma=gamma), p, y)
-
-
-def set_dice_loss(ps: list[ProbPair], ys: list[OneHotLabel], gamma: float = 1.0) -> BatchLossValueGrad:
-    """Dice loss over a whole batch treated as one soft set."""
-    return batch_mean_loss(LossSpec(LossKind.DL_SET, gamma=gamma), ps, ys)
-
-
-def tversky_loss(
-    p: ProbPair, y: OneHotLabel, alpha: float = 0.5, beta: float = 0.5, gamma: float = 1.0
-) -> LossValueGrad:
-    """Tversky loss with asymmetric false-positive / false-negative pricing."""
-    return _scalar(LossSpec(LossKind.TL, alpha=alpha, beta=beta, gamma=gamma), p, y)
-
-
-def self_adjusting_dice_loss(
-    p: ProbPair,
-    y: OneHotLabel,
-    alpha: float = 1.0,
-    gamma: float = 1.0,
-    detach_weight: bool = True,
-) -> LossValueGrad:
-    """Dice loss with the confidence-decay reweighting of p1."""
-    spec = LossSpec(LossKind.DSC_SELFADJ, alpha=alpha, gamma=gamma, detach_weight=detach_weight)
-    return _scalar(spec, p, y)
-
-
-def focal_loss(
-    p: ProbPair, y: OneHotLabel, gamma_focus: float = 2.0, class_weight: float = 1.0
-) -> LossValueGrad:
-    """Cross entropy with the (1 - p_true)**gamma_focus modulating factor."""
-    return _scalar(LossSpec(LossKind.FL, gamma=gamma_focus), p, y, class_weight)
 
 
 # ---------------------------------------------------------------------------

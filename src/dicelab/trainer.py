@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses, metrics
 from .data import LabeledBatch
-from .losses import LossKind, LossSpec, ProbPair
+from .losses import LossSpec, ProbPair
 from .rng import Xoshiro256StarStar, permutation, splitmix64_at
 
 # SplitMix64 outputs 0..3 of the train seed fill the init stream; epoch e
@@ -35,15 +35,12 @@ class ModelSpec:
 
     arch: str = "linear"
     hidden_units: int = 16
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.arch not in ("linear", "mlp"):
             raise ValueError(f"arch must be 'linear' or 'mlp', got {self.arch!r}")
         if self.arch == "mlp" and self.hidden_units < 1:
             raise ValueError("hidden_units must be at least 1")
-        if self.activation != "tanh":
-            raise ValueError(f"only tanh hidden activation is supported, got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -259,34 +256,3 @@ def evaluate(model: TrainedModel, data: LabeledBatch, threshold: float = 0.5) ->
     p1 = forward_p1(model, data.features)
     preds = (p1 > threshold).astype(np.int64)
     return metrics.binary_metrics(preds, data.labels)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip: {"arch", "hidden_units", "parameters", "history"}.
-# ---------------------------------------------------------------------------
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "arch": model.model_spec.arch,
-        "hidden_units": model.model_spec.hidden_units,
-        "parameters": [float(v) for v in model.parameters],
-        "history": [[float(l), float(f)] for l, f in model.train_history],
-    }
-
-
-def model_from_dict(payload: dict) -> TrainedModel:
-    spec = ModelSpec(arch=payload["arch"], hidden_units=int(payload["hidden_units"]))
-    params = np.asarray(payload["parameters"], dtype=np.float64)
-    n = params.shape[0]
-    if spec.arch == "linear":
-        input_dim = n - 1
-    else:
-        h = spec.hidden_units
-        if (n - 2 * h - 1) % h != 0:
-            raise ValueError(f"parameter count {n} does not fit an mlp with {h} hidden units")
-        input_dim = (n - 2 * h - 1) // h
-    if input_dim < 1:
-        raise ValueError(f"parameter count {n} implies a nonpositive input dimension")
-    history = [(float(l), float(f)) for l, f in payload.get("history", [])]
-    return TrainedModel(params, spec, input_dim, history)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -17,6 +18,7 @@ from conftest import tiny_config
 from dicelab.cli import main
 from dicelab.data import load_csv
 from dicelab.experiments import CSV_COLUMNS, config_to_json
+from dicelab.losses import LossKind
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -78,6 +80,15 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_out_of_range_replicate_seed_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    payload = json.loads(config_to_json(tiny_config()))
+    payload["replicate_seeds"] = [-1]
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "replicate_seeds" in capsys.readouterr().err
+
+
 def test_unwritable_output_path_is_a_runtime_error(tiny_config_path, tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "out.csv"
     assert main(["run", "--config", tiny_config_path, "--out", str(target)]) == 1
@@ -100,6 +111,25 @@ def test_sweep_crosses_losses_and_ratios(tiny_config_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == HEADER
     assert len(lines) == 1 + 2 * 4  # two ratios x (two seeds + mean + std)
+
+
+# sha256 of the CSV that the imbalance-grid script, which ran this same sweep
+# over every loss kind, wrote with --ratios 1,10 --epochs 2 (numpy 2.4.6).
+_GRID_CSV_SHA256 = "0cc25001eee4928f43ef44cfba27d5909058a66b9ad995ebf1b22fbd27c3d38d"
+
+
+def test_sweep_over_every_kind_reproduces_the_imbalance_grid(tmp_path):
+    config = tmp_path / "grid.json"
+    config.write_text(
+        json.dumps(
+            {"data": {"n_positive": 200, "ratio": 1, "easy_negative_fraction": 0.95}, "loss": {"kind": "CE"}}
+        )
+    )
+    out = tmp_path / "grid.csv"
+    losses = ",".join(kind.value for kind in LossKind)
+    argv = ["sweep", "--config", str(config), "--losses", losses, "--ratios", "1,10", "--epochs", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GRID_CSV_SHA256
 
 
 def test_sweep_rejects_bad_loss_lists(tiny_config_path, capsys):
@@ -160,7 +190,7 @@ def test_gen_data_writes_a_loadable_csv(tmp_path):
     code = main(["gen-data", "--n-positive", "10", "--ratio", "2", "--out", str(out)])
     assert code == 0
     batch = load_csv(out)
-    assert batch.counts == (20, 10)
+    assert (batch.n_negative, batch.n_positive) == (20, 10)
     assert batch.features.shape == (30, 2)
 
 
@@ -186,6 +216,31 @@ def test_module_invocation_is_byte_identical_across_processes(tiny_config_path, 
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _env_importing_this_dicelab() -> dict:
+    """The environment with PYTHONPATH led by the directory the suite imported dicelab from."""
+    env = dict(os.environ)
+    import_root = str(Path(dicelab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
+    return env
+
+
+_SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.name for p in _SCRIPTS])
+def test_every_script_starts(script):
+    """A script's imports still resolve, so an API deletion cannot break it unseen."""
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_env_importing_this_dicelab(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def _assert_help_starts_the_cli(proc):
@@ -216,15 +271,12 @@ def test_console_script_is_installed():
     assert "dicelab" in scripts
     declared = scripts["dicelab"]
 
-    import_root = str(Path(dicelab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, declared, "--help"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_env_importing_this_dicelab(),
     )
     _assert_help_starts_the_cli(proc)
 

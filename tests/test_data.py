@@ -75,7 +75,6 @@ def test_generated_counts_always_match_spec(n_positive, ratio, frac):
     batch = generate(spec)
     assert batch.n_positive == n_positive
     assert batch.n_negative == spec.n_negative
-    assert batch.counts == batch.recount()
 
 
 # --- generation -------------------------------------------------------------
@@ -152,7 +151,6 @@ def test_add_positive_reaches_half_and_keeps_originals():
     assert np.array_equal(out.features[:100], batch.features)
     assert np.array_equal(out.labels[:100], batch.labels)
     assert (out.labels[100:] == 1).all()
-    assert out.counts == out.recount()
     # the input batch itself is untouched
     assert batch.n_positive == 37 and batch.n == 100
 
@@ -176,7 +174,6 @@ def test_add_negative_reaches_a_lower_positive_fraction():
     assert out.n_negative == 111  # 3 * 37
     assert out.positive_fraction == pytest.approx(0.25)
     assert (out.labels[100:] == 0).all()
-    assert out.counts == out.recount()
 
 
 def test_downsample_negative_removes_only_negatives_and_keeps_order():
@@ -195,7 +192,6 @@ def test_downsample_negative_removes_only_negatives_and_keeps_order():
             idx += 1
         assert idx < len(original_neg), "survivor row not found in original order"
         idx += 1
-    assert out.counts == out.recount()
 
 
 def test_add_both_grows_both_classes_and_preserves_fraction():
@@ -205,7 +201,6 @@ def test_add_both_grows_both_classes_and_preserves_fraction():
     assert out.n_negative == 63 + 32  # round(0.5 * 63) = 32
     assert abs(out.positive_fraction - batch.positive_fraction) < 0.01
     assert np.array_equal(out.features[:100], batch.features)
-    assert out.counts == out.recount()
 
 
 def test_transforms_are_bitwise_deterministic_per_seed():
@@ -251,14 +246,8 @@ def test_from_arrays_validates_and_counts():
     with pytest.raises(ValueError):
         LabeledBatch.from_arrays(np.zeros((2, 2)), np.array([0, 2]))
     batch = LabeledBatch.from_arrays(np.zeros((3, 2)), np.array([1, 0, 1]))
-    assert batch.counts == (1, 2)
-
-
-def test_one_hot_labels_round_trip():
-    batch = LabeledBatch.from_arrays(np.zeros((3, 1)), np.array([1, 0, 1]))
-    one_hot = batch.one_hot_labels()
-    assert [y.y1 for y in one_hot] == [1, 0, 1]
-    assert [y.y0 for y in one_hot] == [0, 1, 0]
+    assert (batch.n_negative, batch.n_positive) == (1, 2)
+    assert batch.positive_fraction == pytest.approx(2.0 / 3.0)
 
 
 # --- CSV --------------------------------------------------------------------
@@ -274,7 +263,7 @@ def test_csv_round_trip_preserves_labels_and_features_to_nine_digits(tmp_path):
     loaded = load_csv(path)
     assert np.array_equal(loaded.labels, batch.labels)
     np.testing.assert_allclose(loaded.features, batch.features, rtol=5e-9, atol=1e-12)
-    assert loaded.counts == loaded.recount() == batch.counts
+    assert (loaded.n_negative, loaded.n_positive) == (batch.n_negative, batch.n_positive)
 
 
 def test_load_csv_rejects_malformed_inputs(tmp_path):
@@ -297,3 +286,11 @@ def test_load_csv_rejects_malformed_inputs(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_csv(empty)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_csv_rejects_non_finite_features(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"f0,f1,label\n0.5,0.25,1\n\n{cell},0.0,0\n")
+    with pytest.raises(ValueError, match=r"nonfinite\.csv:4: feature values must be finite"):
+        load_csv(path)

@@ -30,7 +30,7 @@ from dicelab.experiments import (
     write_csv,
 )
 from dicelab.losses import LossKind, LossSpec
-from dicelab.trainer import ModelSpec, TrainSpec
+from dicelab.trainer import ModelSpec, TrainSpec, evaluate, train
 
 
 # --- run --------------------------------------------------------------------
@@ -92,6 +92,37 @@ def test_experiment_config_validation():
         tiny_config(eval_threshold=1.0)
     with pytest.raises(ValueError):
         tiny_config(replicate_seeds=())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_replicate_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(ValueError, match="replicate_seeds"):
+        tiny_config(replicate_seeds=(1, seed))
+    payload = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}, "replicate_seeds": [seed]}
+    with pytest.raises(ValueError, match="replicate_seeds"):
+        config_from_dict(payload)
+    assert tiny_config(replicate_seeds=(0, 2**64 - 1)).replicate_seeds == (0, 2**64 - 1)
+
+
+def test_data_seed_moves_only_the_held_out_set(monkeypatch):
+    """Training data, and so the trained models, come from the replicate seeds alone."""
+    trained, held_out = [], []
+
+    def recording_train(*args):
+        model = train(*args)
+        trained.append(model.parameters.tobytes())
+        return model
+
+    def recording_evaluate(model, batch, threshold):
+        held_out.append(batch.features.tobytes())
+        return evaluate(model, batch, threshold)
+
+    monkeypatch.setattr(experiments, "train", recording_train)
+    monkeypatch.setattr(experiments, "evaluate", recording_evaluate)
+    for seed in (5, 6):
+        run(tiny_config(data=DataSpec(n_positive=30, ratio=2.0, seed=seed)))
+    assert trained[:2] == trained[2:]
+    assert held_out[0] != held_out[2]
 
 
 # --- sweeps -----------------------------------------------------------------

@@ -7,6 +7,7 @@ arithmetic, no package imports) and are frozen here as literals.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicelab.losses import (
+    DICE_FAMILY,
     KERNELS,
     NEGATIVE,
     POSITIVE,
@@ -29,26 +31,18 @@ from dicelab.losses import (
     class_weight_coefficient,
     clamp_probability,
     cross_entropy_grad,
-    cross_entropy_loss,
     cross_entropy_value,
-    dice_coefficient_sample,
     dice_grad,
-    dice_loss,
     dice_value,
-    focal_loss,
     focal_value,
     sample_grad,
     sample_value,
     self_adjusting_dice_grad,
-    self_adjusting_dice_loss,
     self_adjusting_dice_value,
     set_dice_grads,
-    set_dice_loss,
     set_dice_value,
     soft_dice_coefficient,
-    tversky_loss,
     tversky_value,
-    weighted_cross_entropy_loss,
 )
 
 APPROX = dict(rel=1e-12, abs=1e-12)
@@ -63,6 +57,16 @@ def _spec_for(kind: LossKind, **kw) -> LossSpec:
 
 def _central_diff(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _value_grad(spec: LossSpec, p1: float, y1: float, weight: float = 1.0) -> tuple[float, float]:
+    """(value, d value / d p1) of one example from the kind's kernel."""
+    value, grad = KERNELS[spec.kind](spec, p1, y1, weight)
+    return float(value), float(grad)
+
+
+# Smallest positive dice smoothing whose square is still a normal float.
+_MIN_DICE_GAMMA = math.sqrt(sys.float_info.min)
 
 
 # --- typed containers -------------------------------------------------------
@@ -118,27 +122,37 @@ def test_loss_spec_validation():
         LossSpec("BOGUS")
 
 
+def test_loss_spec_rejects_a_dice_gamma_whose_square_underflows():
+    for kind in sorted(DICE_FAMILY):
+        for tiny in (1e-170, 0.5 * _MIN_DICE_GAMMA):
+            with pytest.raises(ValueError, match="gamma"):
+                LossSpec(kind, gamma=tiny)
+        assert LossSpec(kind, gamma=0.0).gamma == 0.0
+        spec = LossSpec(kind, gamma=_MIN_DICE_GAMMA)
+        _, grads = KERNELS[kind](spec, np.zeros(2), np.zeros(2), 1.0)
+        assert np.all(np.isfinite(grads))
+    # for FL gamma is the focusing exponent, where a tiny value is harmless
+    assert LossSpec(LossKind.FL, gamma=1e-170).gamma == 1e-170
+
+
 # --- cross entropy ----------------------------------------------------------
 
 
 def test_cross_entropy_hand_values():
-    got = cross_entropy_loss(ProbPair(0.3, 0.7), POSITIVE)
-    assert got.value == pytest.approx(0.35667494393873245, **APPROX)
+    ce = LossSpec(LossKind.CE)
+    assert _value_grad(ce, 0.7, 1.0)[0] == pytest.approx(0.35667494393873245, **APPROX)
     # same mass on the gold class gives the same loss for a negative
-    assert cross_entropy_loss(ProbPair(0.7, 0.3), NEGATIVE).value == pytest.approx(
-        0.35667494393873245, **APPROX
-    )
-    assert cross_entropy_loss(ProbPair(0.5, 0.5), POSITIVE).dvalue_dp1 == pytest.approx(
-        -2.0, **APPROX
-    )
+    assert _value_grad(ce, 0.3, 0.0)[0] == pytest.approx(0.35667494393873245, **APPROX)
+    assert _value_grad(ce, 0.5, 1.0)[1] == pytest.approx(-2.0, **APPROX)
 
 
 def test_cross_entropy_clamps_certain_predictions():
-    got = cross_entropy_loss(ProbPair(0.0, 1.0), POSITIVE)
-    assert got.value == pytest.approx(1.0000000494736474e-07, rel=1e-9)
-    assert got.value < 1e-6  # a perfect prediction costs (numerically) nothing
-    wrong = cross_entropy_loss(ProbPair(1.0, 0.0), POSITIVE)
-    assert math.isfinite(wrong.value) and wrong.value > 16.0  # -log(1e-7)
+    ce = LossSpec(LossKind.CE)
+    value, _ = _value_grad(ce, 1.0, 1.0)
+    assert value == pytest.approx(1.0000000494736474e-07, rel=1e-9)
+    assert value < 1e-6  # a perfect prediction costs (numerically) nothing
+    wrong, _ = _value_grad(ce, 0.0, 1.0)
+    assert math.isfinite(wrong) and wrong > 16.0  # -log(1e-7)
 
 
 def test_clamp_probability_window():
@@ -167,31 +181,26 @@ def test_class_weight_coefficient_hand_values():
     assert class_weight_coefficient(80, 40, 9.0) == pytest.approx(1.0, **APPROX)
 
 
-def test_class_weight_coefficient_base_knob_and_errors():
-    assert class_weight_coefficient(100, 50, 1.0, base=2.0) == pytest.approx(1.0, **APPROX)
+def test_class_weight_coefficient_rejects_invalid_counts():
     with pytest.raises(ValueError):
         class_weight_coefficient(100, 0, 1.0)
     with pytest.raises(ValueError):
         class_weight_coefficient(100, 101, 1.0)
-    with pytest.raises(ValueError):
-        class_weight_coefficient(100, 50, 1.0, base=1.0)
 
 
 def test_weighted_cross_entropy_scales_cross_entropy():
-    p, y = ProbPair(0.3, 0.7), POSITIVE
-    got = weighted_cross_entropy_loss(p, y, 0.69897)
-    assert got.value == pytest.approx(0.69897 * 0.35667494393873245, **APPROX)
-    assert got.dvalue_dp1 == pytest.approx(0.69897 * cross_entropy_loss(p, y).dvalue_dp1, **APPROX)
-    assert weighted_cross_entropy_loss(p, y, 0.0).value == 0.0
-    with pytest.raises(ValueError):
-        weighted_cross_entropy_loss(p, y, -0.5)
+    wce, ce = LossSpec(LossKind.WCE), LossSpec(LossKind.CE)
+    value, grad = _value_grad(wce, 0.7, 1.0, 0.69897)
+    assert value == pytest.approx(0.69897 * 0.35667494393873245, **APPROX)
+    assert grad == pytest.approx(0.69897 * _value_grad(ce, 0.7, 1.0)[1], **APPROX)
+    assert _value_grad(wce, 0.7, 1.0, 0.0)[0] == 0.0
 
 
 @given(p1=st.floats(0.01, 0.99), label=st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_unit_weight_cross_entropy_is_plain_cross_entropy(p1, label):
-    p, y = ProbPair.from_p1(p1), OneHotLabel.from_class(label)
-    assert weighted_cross_entropy_loss(p, y, 1.0) == cross_entropy_loss(p, y)
+    y1 = float(label)
+    assert _value_grad(LossSpec(LossKind.WCE), p1, y1, 1.0) == _value_grad(LossSpec(LossKind.CE), p1, y1)
 
 
 # --- per-sample dice --------------------------------------------------------
@@ -201,17 +210,14 @@ def test_soft_dice_coefficient_hand_values():
     assert soft_dice_coefficient(1.0, 1.0, 1.0) == pytest.approx(1.0, **APPROX)
     assert soft_dice_coefficient(0.4, 0.0, 1.0) == pytest.approx(0.7142857142857143, **APPROX)
     assert soft_dice_coefficient(0.5, 1.0, 0.0) == pytest.approx(0.6666666666666666, **APPROX)
-    assert dice_coefficient_sample(ProbPair(0.6, 0.4), NEGATIVE) == pytest.approx(
-        0.7142857142857143, **APPROX
-    )
 
 
 def test_squared_denominator_dice_hand_values():
     assert dice_value(0.0, 0.0, 1.0) == pytest.approx(0.0, **APPROX)
     assert dice_value(1.0, 1.0, 1.0) == pytest.approx(0.0, **APPROX)
     assert dice_value(0.5, 1.0, 1.0) == pytest.approx(0.11111111111111116, **APPROX)
-    got = dice_loss(ProbPair(0.5, 0.5), POSITIVE, gamma=1.0)
-    assert got.value == pytest.approx(0.11111111111111116, **APPROX)
+    value, _ = _value_grad(LossSpec(LossKind.DL_SAMPLE, gamma=1.0), 0.5, 1.0)
+    assert value == pytest.approx(0.11111111111111116, **APPROX)
 
 
 def test_dice_gamma_zero_keeps_negatives_lossless_but_singular_at_origin():
@@ -252,7 +258,9 @@ def test_set_dice_value_two_example_hand_value():
     assert set_dice_value([1.0, 1.0], [1.0, 0.0], 0.0) == pytest.approx(
         0.33333333333333337, **APPROX
     )
-    got = set_dice_loss([ProbPair(0.0, 1.0), ProbPair(0.0, 1.0)], [POSITIVE, NEGATIVE], gamma=0.0)
+    got = batch_mean_loss(
+        LossSpec(LossKind.DL_SET, gamma=0.0), [ProbPair(0.0, 1.0), ProbPair(0.0, 1.0)], [POSITIVE, NEGATIVE]
+    )
     assert isinstance(got, BatchLossValueGrad)
     assert got.value == pytest.approx(0.33333333333333337, **APPROX)
 
@@ -278,10 +286,11 @@ def test_singleton_set_dice_equals_per_sample_dice(p1, label, gamma):
 
 
 def test_set_dice_loss_input_validation():
+    dl_set = LossSpec(LossKind.DL_SET)
     with pytest.raises(ValueError):
-        set_dice_loss([], [])
+        batch_mean_loss(dl_set, [], [])
     with pytest.raises(ValueError):
-        set_dice_loss([ProbPair(0.5, 0.5)], [POSITIVE, NEGATIVE])
+        batch_mean_loss(dl_set, [ProbPair(0.5, 0.5)], [POSITIVE, NEGATIVE])
     with pytest.raises(SingularInputError):
         set_dice_value([0.0, 0.0], [0.0, 0.0], 0.0)
 
@@ -307,8 +316,8 @@ def test_tversky_hand_values():
     assert tversky_value(0.5, 0.0, 0.3, 0.7, 1.0) == pytest.approx(
         0.13043478260869557, **APPROX
     )
-    got = tversky_loss(ProbPair(0.5, 0.5), NEGATIVE, alpha=0.3, beta=0.7, gamma=1.0)
-    assert got.value == pytest.approx(0.13043478260869557, **APPROX)
+    value, _ = _value_grad(LossSpec(LossKind.TL, alpha=0.3, beta=0.7, gamma=1.0), 0.5, 0.0)
+    assert value == pytest.approx(0.13043478260869557, **APPROX)
     # a perfectly confident positive is lossless for any alpha/beta even unsmoothed
     assert tversky_value(1.0, 1.0, 0.9, 0.1, 0.0) == 0.0
 
@@ -343,8 +352,8 @@ def test_self_adjusting_dice_hand_value():
     assert self_adjusting_dice_value(0.9, 1.0, 1.0, 1.0) == pytest.approx(
         0.43540669856459324, **APPROX
     )
-    got = self_adjusting_dice_loss(ProbPair(0.1, 0.9), POSITIVE, alpha=1.0, gamma=1.0)
-    assert got.value == pytest.approx(0.43540669856459324, **APPROX)
+    value, _ = _value_grad(LossSpec(LossKind.DSC_SELFADJ, alpha=1.0, gamma=1.0), 0.9, 1.0)
+    assert value == pytest.approx(0.43540669856459324, **APPROX)
 
 
 def test_self_adjusting_weight_peaks_at_one_half():
@@ -371,11 +380,10 @@ def test_zero_decay_exponent_reduces_to_plain_dice(p1, label, gamma):
 
 
 def test_detach_flag_changes_gradient_but_never_value():
-    p, y = ProbPair(0.7, 0.3), POSITIVE
-    kept = self_adjusting_dice_loss(p, y, alpha=1.0, gamma=1.0, detach_weight=False)
-    detached = self_adjusting_dice_loss(p, y, alpha=1.0, gamma=1.0, detach_weight=True)
-    assert detached.value == kept.value
-    assert detached.dvalue_dp1 != kept.dvalue_dp1
+    kept = _value_grad(LossSpec(LossKind.DSC_SELFADJ, alpha=1.0, gamma=1.0, detach_weight=False), 0.3, 1.0)
+    detached = _value_grad(LossSpec(LossKind.DSC_SELFADJ, alpha=1.0, gamma=1.0, detach_weight=True), 0.3, 1.0)
+    assert detached[0] == kept[0]
+    assert detached[1] != kept[1]
 
 
 def test_differentiated_gradient_reverses_sign_but_detached_does_not():
@@ -412,15 +420,15 @@ def test_detached_gradient_differentiates_frozen_weight_surrogate(p1, label, alp
 
 
 def test_focal_hand_value():
-    got = focal_loss(ProbPair(0.2, 0.8), POSITIVE, gamma_focus=2.0, class_weight=1.0)
-    assert got.value == pytest.approx(0.008925742052568384, **APPROX)
+    value, _ = _value_grad(LossSpec(LossKind.FL, gamma=2.0), 0.8, 1.0, 1.0)
+    assert value == pytest.approx(0.008925742052568384, **APPROX)
 
 
 @given(p1=st.floats(0.01, 0.99), label=st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_zero_focus_focal_is_cross_entropy(p1, label):
-    p, y = ProbPair.from_p1(p1), OneHotLabel.from_class(label)
-    assert focal_loss(p, y, gamma_focus=0.0, class_weight=1.0) == cross_entropy_loss(p, y)
+    y1 = float(label)
+    assert _value_grad(LossSpec(LossKind.FL, gamma=0.0), p1, y1, 1.0) == _value_grad(LossSpec(LossKind.CE), p1, y1)
 
 
 @given(p1=st.floats(0.01, 0.99), g=st.floats(0.5, 4.0))
@@ -434,11 +442,10 @@ def test_focal_is_cross_entropy_shrunk_by_miss_mass(p1, g):
 
 
 def test_focal_rejects_bad_hyperparameters():
-    p = ProbPair(0.5, 0.5)
     with pytest.raises(ValueError):
-        focal_loss(p, POSITIVE, gamma_focus=-1.0)
+        LossSpec(LossKind.FL, gamma=-1.0)
     with pytest.raises(ValueError):
-        focal_loss(p, POSITIVE, class_weight=-0.1)
+        batch_value_grad(LossSpec(LossKind.FL), np.array([0.5]), np.array([1.0]), class_weights=(1.0, -0.1))
 
 
 # --- analytic gradients vs central differences ------------------------------
@@ -481,7 +488,7 @@ _KERNEL_CASES = dict(
     batch=_BATCHES,
     alpha=st.floats(0.0, 2.0),
     beta=st.floats(0.0, 2.0),
-    gamma=st.floats(0.01, 3.0),
+    gamma=st.floats(0.01, 3.0) | st.just(_MIN_DICE_GAMMA),
     weight=st.floats(0.0, 3.0),
     detach=st.booleans(),
 )

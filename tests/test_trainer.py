@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -22,8 +21,6 @@ from dicelab.trainer import (
     forward_p1,
     initial_parameters,
     loss_and_param_grad,
-    model_from_dict,
-    model_to_dict,
     parameter_count,
     train,
 )
@@ -61,8 +58,6 @@ def test_model_spec_validation():
         ModelSpec(arch="cnn")
     with pytest.raises(ValueError):
         ModelSpec(arch="mlp", hidden_units=0)
-    with pytest.raises(ValueError):
-        ModelSpec(activation="relu")
 
 
 def test_train_spec_validation_allows_zero_epochs():
@@ -283,32 +278,3 @@ def test_evaluate_thresholds_strictly():
     with pytest.raises(ValueError):
         evaluate(model, data, threshold=1.0)
 
-
-# --- serialization ----------------------------------------------------------
-
-
-def test_model_json_round_trip():
-    data = generate(DataSpec(n_positive=10, ratio=1.0, seed=2))
-    model = train(data, LossSpec(LossKind.CE), train_spec=TrainSpec(epochs=3, batch_size=8))
-    payload = json.loads(json.dumps(model_to_dict(model)))
-    back = model_from_dict(payload)
-    assert np.array_equal(back.parameters, model.parameters)
-    assert back.model_spec == model.model_spec
-    assert back.input_dim == model.input_dim
-    assert back.train_history == model.train_history
-
-
-def test_model_json_round_trip_mlp():
-    spec = ModelSpec(arch="mlp", hidden_units=3)
-    params = initial_parameters(spec, 2, TrainSpec(seed=1))
-    model = TrainedModel(params, spec, 2)
-    back = model_from_dict(model_to_dict(model))
-    assert np.array_equal(back.parameters, model.parameters)
-    assert back.model_spec == spec
-
-
-def test_model_from_dict_rejects_inconsistent_payloads():
-    with pytest.raises(ValueError):
-        model_from_dict({"arch": "mlp", "hidden_units": 3, "parameters": [0.0] * 12})
-    with pytest.raises(ValueError):
-        model_from_dict({"arch": "linear", "hidden_units": 16, "parameters": [0.0]})
