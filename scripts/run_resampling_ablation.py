@@ -3,8 +3,9 @@
 
 Trains on ratio-10 data under each of the five dataset transforms (original,
 add_positive, add_negative, downsample_negative, add_both) for each loss in
-the panel, evaluating every variant on the same held-out set.  Writes one CSV
-with mean/std aggregate rows per cell.
+the panel, evaluating every variant on the same held-out set.  Each
+transform's training data are generated once and shared by the losses (one
+`grid` call).  Writes one CSV with mean/std aggregate rows per cell.
 
 Usage:
     python3 scripts/run_resampling_ablation.py --out ablation.csv
@@ -18,13 +19,7 @@ import sys
 from dataclasses import replace
 
 from dicelab.data import DataSpec, TransformKind
-from dicelab.experiments import (
-    ExperimentConfig,
-    TransformSpec,
-    run,
-    sort_rows,
-    write_csv,
-)
+from dicelab.experiments import ExperimentConfig, TransformSpec, grid, write_csv
 from dicelab.losses import LossKind, LossSpec
 from dicelab.trainer import TrainSpec
 
@@ -61,15 +56,11 @@ def main(argv: list[str] | None = None) -> int:
         TransformKind.ADD_BOTH: 0.5,  # ignored: add_both preserves the fraction
     }
 
-    rows = []
+    configs = []
     for kind in TransformKind:
         transform = TransformSpec(kind=kind, target_fraction_positive=targets[kind])
-        for loss in LOSS_PANEL:
-            config = replace(base, transform=transform, loss=LossSpec(loss))
-            rows.extend(run(config))
-            print(f"done: transform={kind.value} loss={loss.value}", file=sys.stderr)
-
-    write_csv(sort_rows(rows), args.out)
+        configs.extend(replace(base, transform=transform, loss=LossSpec(loss)) for loss in LOSS_PANEL)
+    write_csv(grid(configs), args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, check_seed
 
 POSITIVE_CENTER = 1.0
 EASY_NEGATIVE_CENTER = -2.0
@@ -65,8 +65,7 @@ class DataSpec:
             raise ValueError("easy_negative_fraction must lie in [0, 1]")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_seed(self.seed, "seed")
         if self.jitter_sigma < 0.0:
             raise ValueError("jitter_sigma must be nonnegative")
 
@@ -293,7 +292,7 @@ def save_csv(batch: LabeledBatch, path) -> None:
 
 
 def load_csv(path) -> LabeledBatch:
-    """Read a batch written by save_csv; every feature cell must be a finite number."""
+    """Read a batch written by save_csv; feature cells must be finite numbers, labels 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
     filled = (number for number, line in enumerate(lines, start=1) if line)  # skips blank lines
@@ -307,11 +306,21 @@ def load_csv(path) -> LabeledBatch:
     rows = []
     labels = []
     for number in filled:
-        cells = lines[number - 1].split(",")
+        line = lines[number - 1]
+        cells = line.split(",")
         if len(cells) != d + 1:
             raise ValueError(f"{path}:{number}: row has {len(cells)} cells, expected {d + 1}")
-        rows.append([float(c) for c in cells[:-1]])
-        labels.append(int(cells[-1]))
+        try:
+            rows.append([float(c) for c in cells[:-1]])
+        except ValueError:
+            raise ValueError(f"{path}:{number}: feature values must be numbers, got {line!r}") from None
+        try:
+            label = int(cells[-1])
+        except ValueError:
+            label = None
+        if label != 0 and label != 1:
+            raise ValueError(f"{path}:{number}: labels must be 0/1, got {cells[-1]!r}")
+        labels.append(label)
     features = np.array(rows, dtype=np.float64)
     if not np.isfinite(features).all():
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])

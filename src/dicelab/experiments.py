@@ -1,12 +1,13 @@
-"""Experiment orchestration: replicated runs, loss/ratio sweeps, CSV results.
+"""Experiment orchestration: replicated runs over a grid of configs, CSV results.
 
 A run trains one (loss, dataset) configuration once per replicate seed and
 evaluates every replicate on a shared held-out set drawn from the
-untransformed data spec. The held-out seed is the data seed + 1 and its size
-is 20% of the training size. Each replicate seed deterministically derives
-three child seeds (generation, transform, trainer) via splitmix64, so runs
-are reproducible end to end and CSV output is byte-identical across
-executions of the same config.
+untransformed data spec. The held-out seed is the data seed + 1 (modulo
+2**64) and its size is 20% of the training size. Each replicate seed
+deterministically derives three child seeds (generation, transform, trainer)
+via splitmix64, so runs are reproducible end to end and CSV output is
+byte-identical across executions of the same config. `grid` is the one
+entry point that trains: `run` and both sweeps hand it a list of configs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from .data import DataSpec, TransformKind, generate, transform
 from .losses import LossKind, LossSpec
 from .metrics import ClassifierMetrics
-from .rng import splitmix64_at
+from .rng import check_seed, splitmix64_at
 from .trainer import ModelSpec, TrainSpec, evaluate, train
 
 # Child-stream tags hung off each replicate seed.
@@ -68,8 +69,12 @@ class ExperimentConfig:
         if len(self.replicate_seeds) == 0:
             raise ValueError("replicate_seeds must be nonempty")
         for seed in self.replicate_seeds:
-            if not (0 <= seed < 2**64):
-                raise ValueError(f"replicate_seeds must lie in [0, 2**64), got {seed}")
+            check_seed(seed, "replicate_seeds")
+        if self.train.seed != 0:
+            raise ValueError(
+                f"train.seed is not a config value (got {self.train.seed}): each replicate's "
+                "trainer seed derives from its replicate seed, so set replicate_seeds instead"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,9 @@ def default_config() -> ExperimentConfig:
 
 
 def held_out_spec(data: DataSpec) -> DataSpec:
-    """Shared evaluation spec: untransformed, seed + 1, a fifth of the size."""
+    """Shared evaluation spec: untransformed, seed + 1 modulo 2**64, a fifth of the size."""
     n_positive = max(1, int(math.floor(0.2 * data.n_positive + 0.5)))
-    return replace(data, seed=data.seed + 1, n_positive=n_positive)
+    return replace(data, seed=(data.seed + 1) % 2**64, n_positive=n_positive)
 
 
 def _row(config: ExperimentConfig, seed_label: str, m) -> ResultRow:
@@ -130,8 +135,8 @@ def _std(values: list[float]) -> float:
 def _replicate_data(config: ExperimentConfig):
     """The shared held-out batch and each replicate's (transformed) training batch.
 
-    They depend only on the data and transform sections, so every run of a
-    sweep that shares those sections trains and evaluates on the same batches.
+    They depend only on the data, transform and replicate_seeds sections,
+    the key by which `grid` groups its configs.
     """
     test_batch = generate(held_out_spec(config.data))
     batches = []
@@ -150,17 +155,9 @@ def _replicate_data(config: ExperimentConfig):
     return test_batch, batches
 
 
-def _run_on(config: ExperimentConfig, test_batch, batches) -> list[ResultRow]:
-    """Train/evaluate once per replicate on prepared data, plus mean/std rows."""
-    rows: list[ResultRow] = []
-    per_seed = []
-    for seed, batch in zip(config.replicate_seeds, batches):
-        train_spec = replace(config.train, seed=splitmix64_at(seed, _TAG_TRAINER))
-        model = train(batch, config.loss, config.model, train_spec)
-        m = evaluate(model, test_batch, config.eval_threshold)
-        per_seed.append(m)
-        rows.append(_row(config, str(seed), m))
-
+def _config_rows(config: ExperimentConfig, per_seed: list[ClassifierMetrics]) -> list[ResultRow]:
+    """One row per replicate seed, then the mean and std rows."""
+    rows = [_row(config, str(seed), m) for seed, m in zip(config.replicate_seeds, per_seed)]
     for label, agg in (("mean", _mean), ("std", _std)):
         rows.append(
             _row(
@@ -177,9 +174,37 @@ def _run_on(config: ExperimentConfig, test_batch, batches) -> list[ResultRow]:
     return rows
 
 
+def grid(configs: list[ExperimentConfig]) -> list[ResultRow]:
+    """Train and evaluate every config once per replicate seed; rows in sort_rows order.
+
+    Configs with equal data, transform and replicate_seeds sections form one
+    data group: their batches are generated once and shared by the group's
+    runs. Groups run in order of first appearance, and each group's batches
+    are released before the next group's are generated. Every replicate is
+    trained and then evaluated before the next one starts.
+    """
+    groups: dict[tuple, list[ExperimentConfig]] = {}
+    for config in configs:
+        key = (config.data, config.transform, config.replicate_seeds)
+        groups.setdefault(key, []).append(config)
+    rows: list[ResultRow] = []
+    for members in groups.values():
+        test_batch, batches = _replicate_data(members[0])
+        for config in members:
+            per_seed = []
+            for seed, batch in zip(config.replicate_seeds, batches):
+                train_spec = replace(config.train, seed=splitmix64_at(seed, _TAG_TRAINER))
+                model = train(batch, config.loss, config.model, train_spec)
+                per_seed.append(evaluate(model, test_batch, config.eval_threshold))
+            rows.extend(_config_rows(config, per_seed))
+        # The loop variable `batch` holds a batch too; drop all before the next group.
+        del test_batch, batches, batch
+    return sort_rows(rows)
+
+
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Train/evaluate one configuration per replicate seed, plus mean/std rows."""
-    return _run_on(config, *_replicate_data(config))
+    return grid([config])
 
 
 def sweep(
@@ -187,21 +212,15 @@ def sweep(
     losses: list[LossKind],
     ratios: list[float],
 ) -> list[ResultRow]:
-    """Cross every loss kind with every imbalance ratio.
-
-    Runs go ratio by ratio, so each ratio's data is generated once and shared
-    by all loss kinds; sort_rows fixes the output order.
-    """
+    """Cross every loss kind with every imbalance ratio; each ratio is one data group."""
     if not losses or not ratios:
         raise ValueError("sweep needs at least one loss and one ratio")
     kinds = [LossKind(kind) for kind in losses]
-    rows: list[ResultRow] = []
+    configs = []
     for ratio in ratios:
-        group = replace(config, data=replace(config.data, ratio=float(ratio)))
-        data = _replicate_data(group)
-        for kind in kinds:
-            rows.extend(_run_on(replace(group, loss=replace(config.loss, kind=kind)), *data))
-    return sort_rows(rows)
+        data = replace(config.data, ratio=float(ratio))
+        configs.extend(replace(config, data=data, loss=replace(config.loss, kind=kind)) for kind in kinds)
+    return grid(configs)
 
 
 def sweep_tversky(config: ExperimentConfig, alphas: list[float]) -> list[ResultRow]:
@@ -213,12 +232,11 @@ def sweep_tversky(config: ExperimentConfig, alphas: list[float]) -> list[ResultR
     for a in alphas:
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1] for the beta = 1 - alpha sweep, got {a}")
-    data = _replicate_data(config)
-    rows: list[ResultRow] = []
-    for a in sorted(alphas):
-        sub = replace(config, loss=replace(config.loss, alpha=float(a), beta=1.0 - float(a)))
-        rows.extend(_run_on(sub, *data))
-    return sort_rows(rows)
+    configs = []
+    for a in alphas:
+        loss = replace(config.loss, alpha=float(a), beta=1.0 - float(a))
+        configs.append(replace(config, loss=loss))
+    return grid(configs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +294,7 @@ def write_csv(rows: list[ResultRow], path) -> None:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     payload = asdict(config)
+    del payload["train"]["seed"]  # ExperimentConfig admits only its default
     payload["loss"]["kind"] = config.loss.kind.value
     payload["transform"]["kind"] = config.transform.kind.value
     payload["replicate_seeds"] = list(config.replicate_seeds)

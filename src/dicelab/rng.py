@@ -18,6 +18,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 
 
+def check_seed(seed: int, name: str) -> None:
+    """Reject a seed outside [0, 2**64); the generators would alias it modulo 2**64."""
+    if not (0 <= seed <= _MASK64):
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+
+
 def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

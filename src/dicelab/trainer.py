@@ -18,7 +18,7 @@ import numpy as np
 from . import losses, metrics
 from .data import LabeledBatch
 from .losses import LossSpec, ProbPair
-from .rng import Xoshiro256StarStar, permutation, splitmix64_at
+from .rng import Xoshiro256StarStar, check_seed, permutation, splitmix64_at
 
 # SplitMix64 outputs 0..3 of the train seed fill the init stream; epoch e
 # shuffles with output 4+e so the two purposes never share draws.
@@ -58,8 +58,7 @@ class TrainSpec:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_seed(self.seed, "seed")
         if not (self.init_scale > 0.0 and math.isfinite(self.init_scale)):
             raise ValueError("init_scale must be positive")
 

@@ -200,6 +200,13 @@ def test_gen_data_rejects_bad_ratio(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+def test_gen_data_rejects_a_seed_of_64_bits_or_more(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "--seed", str(2**64), "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- process-level checks ---------------------------------------------------
 
 
@@ -241,6 +248,26 @@ def test_every_script_starts(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+# sha256 of the CSV that scripts/run_resampling_ablation.py wrote with
+# --epochs 2 --n-positive 20 when it still trained each (transform, loss) cell
+# with its own `run` call (numpy 2.4.6).
+_ABLATION_CSV_SHA256 = "b7afadbbec8d10d9791d3410cc324a2207e66644d3476ae89fff4b6d23c64556"
+
+
+def test_resampling_ablation_script_output_is_frozen(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_resampling_ablation.py"
+    out = tmp_path / "ablation.csv"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--epochs", "2", "--n-positive", "20", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_env_importing_this_dicelab(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _ABLATION_CSV_SHA256
 
 
 def _assert_help_starts_the_cli(proc):

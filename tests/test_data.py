@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,14 @@ def test_data_spec_validation():
         DataSpec(n_positive=10, ratio=1.0, seed=-1)
     with pytest.raises(ValueError):
         DataSpec(n_positive=10, ratio=1.0, jitter_sigma=-0.1)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 3, 2**70])
+def test_data_seed_outside_64_bits_is_rejected(seed):
+    """The generator masks its seed to 64 bits, so 2**64 + 3 would silently draw seed 3's batch."""
+    with pytest.raises(ValueError, match="seed"):
+        DataSpec(n_positive=5, ratio=1.0, seed=seed)
+    assert DataSpec(n_positive=5, ratio=1.0, seed=2**64 - 1).seed == 2**64 - 1
 
 
 @given(
@@ -286,6 +296,12 @@ def test_load_csv_rejects_malformed_inputs(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_csv(empty)
+
+    for name, row in (("feature.csv", "abc,0.0,1"), ("label.csv", "0.0,0.0,x"), ("two.csv", "0.0,0.0,2")):
+        path = tmp_path / name
+        path.write_text(f"f0,f1,label\n0.5,0.25,1\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
+            load_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from dicelab.data import DataSpec, TransformKind
+from dicelab.data import DataSpec, TransformKind, generate
 from dicelab import experiments
 from dicelab.experiments import (
     CSV_COLUMNS,
@@ -20,6 +20,7 @@ from dicelab.experiments import (
     config_to_dict,
     config_to_json,
     default_config,
+    grid,
     held_out_spec,
     load_config,
     rows_to_csv,
@@ -57,6 +58,11 @@ def test_mean_and_std_rows_aggregate_the_seed_rows():
         assert getattr(std_row, field) == pytest.approx(np.std(values), abs=1e-12)
 
 
+def test_run_sorts_its_rows_by_seed():
+    rows = run(tiny_config(replicate_seeds=(2, 1)))
+    assert [r.seed for r in rows] == ["1", "2", "mean", "std"]
+
+
 def test_run_is_deterministic():
     config = tiny_config()
     assert run(config) == run(config)
@@ -87,6 +93,12 @@ def test_held_out_spec_is_a_fifth_of_the_data_on_the_next_seed():
     assert held_out_spec(DataSpec(n_positive=1, ratio=1.0)).n_positive == 1
 
 
+def test_held_out_seed_wraps_at_64_bits():
+    last = DataSpec(n_positive=30, ratio=2.0, seed=2**64 - 1)
+    assert held_out_spec(last).seed == 0
+    assert len(run(tiny_config(data=last))) == 4
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         tiny_config(eval_threshold=1.0)
@@ -102,6 +114,16 @@ def test_replicate_seeds_outside_64_bits_are_rejected(seed):
     with pytest.raises(ValueError, match="replicate_seeds"):
         config_from_dict(payload)
     assert tiny_config(replicate_seeds=(0, 2**64 - 1)).replicate_seeds == (0, 2**64 - 1)
+
+
+def test_train_seed_is_not_an_experiment_config_value():
+    """Each replicate's trainer seed derives from its replicate seed, so train.seed would do nothing."""
+    with pytest.raises(ValueError, match=r"train\.seed.*replicate_seeds"):
+        tiny_config(train=TrainSpec(epochs=8, batch_size=16, seed=9))
+    payload = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}, "train": {"seed": 9}}
+    with pytest.raises(ValueError, match=r"train\.seed"):
+        config_from_dict(payload)
+    assert "seed" not in config_to_dict(tiny_config())["train"]
 
 
 def test_data_seed_moves_only_the_held_out_set(monkeypatch):
@@ -123,6 +145,53 @@ def test_data_seed_moves_only_the_held_out_set(monkeypatch):
         run(tiny_config(data=DataSpec(n_positive=30, ratio=2.0, seed=seed)))
     assert trained[:2] == trained[2:]
     assert held_out[0] != held_out[2]
+
+
+# --- grid -------------------------------------------------------------------
+
+
+def test_grid_generates_each_data_group_once_in_order_of_first_appearance(monkeypatch):
+    generated = []
+
+    def recording_generate(spec):
+        generated.append(spec.ratio)
+        return generate(spec)
+
+    monkeypatch.setattr(experiments, "generate", recording_generate)
+    ce = tiny_config()
+    configs = [
+        ce,
+        tiny_config(data=dataclasses.replace(ce.data, ratio=3.0)),
+        tiny_config(loss=LossSpec(LossKind.DSC_SELFADJ)),  # shares the first config's group
+        tiny_config(transform=TransformSpec(TransformKind.ADD_POSITIVE, target_fraction_positive=0.5)),
+    ]
+    grid(configs)
+    per_group = 1 + len(ce.replicate_seeds)  # the held-out batch and one per replicate
+    assert generated == [2.0] * per_group + [3.0] * per_group + [2.0] * per_group
+
+
+def test_grid_equals_the_sorted_rows_of_separate_runs():
+    a = tiny_config(loss=LossSpec(LossKind.DSC_SELFADJ))
+    b = tiny_config(data=dataclasses.replace(a.data, ratio=3.0))
+    assert grid([a, b]) == sort_rows(run(a) + run(b))
+
+
+def test_sweep_trains_then_evaluates_each_run_before_the_next(monkeypatch):
+    """perfbench times a run from its train call to the next evaluate call."""
+    calls = []
+
+    def recording_train(*args):
+        calls.append("train")
+        return train(*args)
+
+    def recording_evaluate(*args):
+        calls.append("evaluate")
+        return evaluate(*args)
+
+    monkeypatch.setattr(experiments, "train", recording_train)
+    monkeypatch.setattr(experiments, "evaluate", recording_evaluate)
+    sweep(tiny_config(), [LossKind.CE, LossKind.DSC_SELFADJ], [1.0, 2.0])
+    assert calls == ["train", "evaluate"] * (2 * 2 * 2)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -221,7 +290,7 @@ def test_config_round_trips_through_dict_and_json(tmp_path):
         loss=LossSpec(LossKind.TL, alpha=0.3, beta=0.7, gamma=0.5),
         transform=TransformSpec(TransformKind.ADD_BOTH, growth_factor=2.0),
         model=ModelSpec(arch="mlp", hidden_units=4),
-        train=TrainSpec(learning_rate=0.05, epochs=3, batch_size=8, seed=9),
+        train=TrainSpec(learning_rate=0.05, epochs=3, batch_size=8),
         eval_threshold=0.4,
         replicate_seeds=(3, 4),
     )

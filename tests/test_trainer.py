@@ -70,6 +70,9 @@ def test_train_spec_validation_allows_zero_epochs():
         TrainSpec(batch_size=0)
     with pytest.raises(ValueError):
         TrainSpec(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        TrainSpec(seed=2**64 + 7)  # would silently give seed 7's init and shuffles
+    assert TrainSpec(seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ValueError):
         TrainSpec(init_scale=0.0)
 
