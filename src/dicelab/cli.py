@@ -17,6 +17,7 @@ from dataclasses import replace
 from . import experiments
 from .data import DataSpec, generate, save_csv
 from .losses import LossKind
+from .rng import check_seed
 from .trainer import TrainingDivergedError
 from .verify import gradcheck_all, reports_to_json
 
@@ -131,6 +132,10 @@ def _cmd_sweep_tversky(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be a positive integer")
+    try:
+        check_seed(args.seed, "--seed")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     reports = gradcheck_all(args.samples, args.seed)
     text = reports_to_json(reports, args.samples, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="audit analytic gradients against finite differences")
     p_gc.add_argument("--samples", type=int, default=200, help="samples per loss kind")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=int, default=0, help="seed of the sampled inputs, in [0, 2**64)")
     p_gc.add_argument("--out", default="gradcheck.json", help="JSON report path")
     p_gc.set_defaults(handler=_cmd_gradcheck)
 

@@ -192,6 +192,7 @@ def transform(
         raise ValueError("target_fraction_positive must lie in [0, 1]")
     if jitter_sigma < 0.0:
         raise ValueError("jitter_sigma must be nonnegative")
+    check_seed(seed, "seed")
 
     if kind is TransformKind.ORIGINAL:
         return batch.copy()
@@ -202,40 +203,6 @@ def transform(
     n_neg = batch.n_negative
     rng = Xoshiro256StarStar(seed)
     target = target_fraction_positive
-
-    if kind is TransformKind.ADD_POSITIVE:
-        if n_pos == 0:
-            raise InfeasibleTransformError("no positive templates to duplicate")
-        if target >= 1.0:
-            if n_neg > 0:
-                raise InfeasibleTransformError("cannot reach an all-positive batch by adding")
-            return batch.copy()
-        n_add = _target_positive_count(target, n_neg) - n_pos
-        if n_add < 0:
-            raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already above target {target}"
-            )
-        new_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 1), n_add, jitter_sigma)
-        out_features = np.concatenate([features, new_rows])
-        out_labels = np.concatenate([labels, np.ones(n_add, dtype=np.int64)])
-        return LabeledBatch(out_features, out_labels)
-
-    if kind is TransformKind.ADD_NEGATIVE:
-        if n_neg == 0:
-            raise InfeasibleTransformError("no negative templates to duplicate")
-        if target <= 0.0:
-            if n_pos > 0:
-                raise InfeasibleTransformError("cannot reach an all-negative batch by adding")
-            return batch.copy()
-        n_add = _target_negative_count(target, n_pos) - n_neg
-        if n_add < 0:
-            raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already below target {target}"
-            )
-        new_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 0), n_add, jitter_sigma)
-        out_features = np.concatenate([features, new_rows])
-        out_labels = np.concatenate([labels, np.zeros(n_add, dtype=np.int64)])
-        return LabeledBatch(out_features, out_labels)
 
     if kind is TransformKind.DOWNSAMPLE_NEGATIVE:
         if target <= 0.0:
@@ -256,22 +223,45 @@ def transform(
         keep[neg_positions[:n_remove]] = False
         return LabeledBatch(features[keep].copy(), labels[keep].copy())
 
-    if kind is TransformKind.ADD_BOTH:
+    n_add_pos = n_add_neg = 0
+    if kind is TransformKind.ADD_POSITIVE:
+        if n_pos == 0:
+            raise InfeasibleTransformError("no positive templates to duplicate")
+        if target >= 1.0 and n_neg > 0:
+            raise InfeasibleTransformError("cannot reach an all-positive batch by adding")
+        if target < 1.0:
+            n_add_pos = _target_positive_count(target, n_neg) - n_pos
+        if n_add_pos < 0:
+            raise InfeasibleTransformError(
+                f"positive fraction {batch.positive_fraction:.4f} already above target {target}"
+            )
+    elif kind is TransformKind.ADD_NEGATIVE:
+        if n_neg == 0:
+            raise InfeasibleTransformError("no negative templates to duplicate")
+        if target <= 0.0 and n_pos > 0:
+            raise InfeasibleTransformError("cannot reach an all-negative batch by adding")
+        if target > 0.0:
+            n_add_neg = _target_negative_count(target, n_pos) - n_neg
+        if n_add_neg < 0:
+            raise InfeasibleTransformError(
+                f"positive fraction {batch.positive_fraction:.4f} already below target {target}"
+            )
+    else:  # ADD_BOTH
         if growth_factor < 1.0:
             raise InfeasibleTransformError("growth_factor must be at least 1")
         n_add_pos = _round_half_up((growth_factor - 1.0) * n_pos)
         n_add_neg = _round_half_up((growth_factor - 1.0) * n_neg)
         if (n_add_pos > 0 and n_pos == 0) or (n_add_neg > 0 and n_neg == 0):
             raise InfeasibleTransformError("cannot duplicate an absent class")
-        pos_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 1), n_add_pos, jitter_sigma)
-        neg_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 0), n_add_neg, jitter_sigma)
-        out_features = np.concatenate([features, pos_rows, neg_rows])
-        out_labels = np.concatenate(
-            [labels, np.ones(n_add_pos, dtype=np.int64), np.zeros(n_add_neg, dtype=np.int64)]
-        )
-        return LabeledBatch(out_features, out_labels)
 
-    raise ValueError(f"unknown transform kind {kind!r}")
+    # Positives first, then negatives; an empty copy consumes no draws.
+    pos_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 1), n_add_pos, jitter_sigma)
+    neg_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 0), n_add_neg, jitter_sigma)
+    out_features = np.concatenate([features, pos_rows, neg_rows])
+    out_labels = np.concatenate(
+        [labels, np.ones(n_add_pos, dtype=np.int64), np.zeros(n_add_neg, dtype=np.int64)]
+    )
+    return LabeledBatch(out_features, out_labels)
 
 
 # ---------------------------------------------------------------------------

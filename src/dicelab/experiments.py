@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .data import DataSpec, TransformKind, generate, transform
 from .losses import LossKind, LossSpec
-from .metrics import ClassifierMetrics
+from .metrics import ClassifierMetrics, check_threshold
 from .rng import check_seed, splitmix64_at
 from .trainer import ModelSpec, TrainSpec, evaluate, train
 
@@ -26,21 +26,6 @@ from .trainer import ModelSpec, TrainSpec, evaluate, train
 _TAG_GENERATE = 0
 _TAG_TRANSFORM = 1
 _TAG_TRAINER = 2
-
-CSV_COLUMNS = (
-    "loss",
-    "ratio",
-    "transform",
-    "alpha",
-    "beta",
-    "gamma",
-    "seed",
-    "precision",
-    "recall",
-    "f1",
-    "accuracy",
-)
-
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -63,8 +48,7 @@ class ExperimentConfig:
     replicate_seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
-        if not (0.0 < self.eval_threshold < 1.0):
-            raise ValueError("eval_threshold must lie strictly inside (0, 1)")
+        check_threshold(self.eval_threshold, "eval_threshold")
         object.__setattr__(self, "replicate_seeds", tuple(int(s) for s in self.replicate_seeds))
         if len(self.replicate_seeds) == 0:
             raise ValueError("replicate_seeds must be nonempty")
@@ -92,6 +76,9 @@ class ResultRow:
     recall: float
     f1: float
     accuracy: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def default_config() -> ExperimentConfig:
@@ -259,26 +246,14 @@ def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
     )
 
 
+def _csv_cell(value) -> str:
+    return value if isinstance(value, str) else f"{value:.6f}"
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in sort_rows(rows):
-        lines.append(
-            ",".join(
-                (
-                    r.loss,
-                    f"{r.ratio:.6f}",
-                    r.transform,
-                    f"{r.alpha:.6f}",
-                    f"{r.beta:.6f}",
-                    f"{r.gamma:.6f}",
-                    r.seed,
-                    f"{r.precision:.6f}",
-                    f"{r.recall:.6f}",
-                    f"{r.f1:.6f}",
-                    f"{r.accuracy:.6f}",
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(getattr(r, name)) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -42,14 +42,15 @@ class ClassifierMetrics:
     accuracy: float
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float, name: str = "threshold") -> None:
+    """Reject a hardening threshold outside the open interval (0, 1)."""
     if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {threshold}")
 
 
 def harden(p: ProbPair, threshold: float = 0.5) -> int:
     """Predict positive iff p1 strictly exceeds the threshold."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     return 1 if p.p1 > threshold else 0
 
 

@@ -19,7 +19,7 @@ _INV_2_53 = 2.0 ** -53
 
 
 def check_seed(seed: int, name: str) -> None:
-    """Reject a seed outside [0, 2**64); the generators would alias it modulo 2**64."""
+    """Reject a seed outside [0, 2**64); masking it to 64 bits would replay another seed."""
     if not (0 <= seed <= _MASK64):
         raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
 
@@ -30,26 +30,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Counter-based 64-bit generator; output k for seed s is mix(s + (k+1)*golden)."""
-
-    def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return _mix64(self.state)
-
-
 def splitmix64_at(seed: int, index: int) -> int:
-    """Output number `index` (0-based) of SplitMix64(seed), in closed form.
+    """Output number `index` (0-based) of the splitmix64 stream seeded with `seed`.
 
-    Used to derive decorrelated child seeds without advancing any state.
+    The closed counter form mix(seed + (index+1)*golden) needs no state, so it
+    both seeds xoshiro256** and derives decorrelated child seeds.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    check_seed(seed, "seed")
     if index < 0:
         raise ValueError("index must be nonnegative")
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
@@ -63,8 +50,7 @@ class Xoshiro256StarStar:
     """xoshiro256** with its state filled from four successive splitmix64 outputs."""
 
     def __init__(self, seed: int):
-        sm = SplitMix64(seed)
-        self._s = [sm.next_u64() for _ in range(4)]
+        self._s = [splitmix64_at(seed, i) for i in range(4)]
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
@@ -106,13 +92,10 @@ class Xoshiro256StarStar:
 
 
 def permutation_keys(seed: int, n: int) -> np.ndarray:
-    """Outputs 1..n of SplitMix64(seed) as a uint64 array, computed in one shot.
-
-    Exactly matches n sequential next_u64() calls; the closed counter form just
-    lets numpy produce the whole block at once.
-    """
+    """splitmix64_at(seed, i) for i in range(n) as a uint64 array, computed in one shot."""
+    check_seed(seed, "seed")
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN)
+    z = np.uint64(seed) + idx * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))

@@ -20,7 +20,7 @@ from .data import LabeledBatch
 from .losses import LossSpec, ProbPair
 from .rng import Xoshiro256StarStar, check_seed, permutation, splitmix64_at
 
-# SplitMix64 outputs 0..3 of the train seed fill the init stream; epoch e
+# splitmix64 outputs 0..3 of the train seed fill the init stream; epoch e
 # shuffles with output 4+e so the two purposes never share draws.
 _EPOCH_STREAM_OFFSET = 4
 
@@ -250,8 +250,7 @@ def train(
 
 def evaluate(model: TrainedModel, data: LabeledBatch, threshold: float = 0.5) -> metrics.ClassifierMetrics:
     """Hard-decision metrics of a model on a batch at the given threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie strictly inside (0, 1)")
+    metrics.check_threshold(threshold)
     p1 = forward_p1(model, data.features)
     preds = (p1 > threshold).astype(np.int64)
     return metrics.binary_metrics(preds, data.labels)

@@ -9,11 +9,12 @@ gradients) or the relative error is below REL_TOL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .losses import (
+    WEIGHTED_KINDS,
     LossKind,
     LossSpec,
     OneHotLabel,
@@ -49,14 +50,7 @@ class GradCheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "sample_count": self.sample_count,
-            "max_rel_error": self.max_rel_error,
-            "max_abs_error": self.max_abs_error,
-            "worst_input": self.worst_input,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def finite_diff_grad(
@@ -127,7 +121,7 @@ def _check_scalar_sample(
     # d(value)/dp1, so differencing the value cannot confirm it.
     spec = LossSpec(kind, alpha=alpha, beta=beta, gamma=gamma, k=k, detach_weight=False)
     class_weight = 1.0
-    if kind in (LossKind.WCE, LossKind.FL):
+    if kind in WEIGHTED_KINDS:
         # Exercise the weight path with the same coefficient the trainer uses.
         class_weight = class_weight_coefficient(100, 50, k)
     analytic = float(sample_grad(spec, p1, y1, class_weight))

@@ -176,6 +176,14 @@ def test_gradcheck_rejects_nonpositive_samples(tmp_path, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 1)])
+def test_gradcheck_seed_outside_64_bits_is_a_usage_error(seed, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["gradcheck", "--samples", "5", "--seed", seed, "--out", str(out)]) == 2
+    assert f"--seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_unwritable_report_path_is_a_runtime_error(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     assert main(["gradcheck", "--samples", "5", "--out", str(target)]) == 1

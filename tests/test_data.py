@@ -241,6 +241,13 @@ def test_wrong_side_targets_are_rejected():
         transform(batch, TransformKind.ADD_POSITIVE, target_fraction_positive=1.5)
 
 
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_transform_seed_outside_64_bits_is_rejected(kind):
+    """Masking would alias seed 2**64 + 3 to seed 3 and replay its resample."""
+    with pytest.raises(ValueError, match=f"seed must lie in .*got {2**64 + 3}"):
+        transform(_batch_37_63(), kind, seed=2**64 + 3)
+
+
 def test_transform_accepts_string_kind():
     batch = _batch_37_63()
     out = transform(batch, "add_positive", target_fraction_positive=0.5, seed=3)

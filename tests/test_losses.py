@@ -522,6 +522,26 @@ def test_kernel_gradients_are_finite_on_the_closed_unit_interval(kind, batch, al
     assert np.all(np.isfinite(np.asarray(grads)[defined]))
 
 
+@pytest.mark.parametrize("kind", list(LossKind))
+@given(**{name: cases for name, cases in _KERNEL_CASES.items() if name != "kind"})
+@settings(max_examples=150, deadline=None)
+def test_kernel_gradients_push_p1_toward_the_label(kind, batch, alpha, beta, gamma, weight, detach):
+    """On [0, 1] the gradient is <= 0 for positives and >= 0 for negatives.
+
+    DSC_selfadj keeps this sign only with the decay factor detached: its
+    exact derivative turns positive past p1 = 0.5 on a positive (see
+    test_differentiated_gradient_reverses_sign_but_detached_does_not).
+    DL_set is checked on the whole batch, whose entries share one denominator.
+    """
+    if kind is LossKind.DSC_SELFADJ:
+        detach = True
+    spec, p1, y1, weights = _kernel_inputs(kind, batch, alpha, beta, gamma, weight, detach)
+    with np.errstate(all="ignore"):
+        _, grads = KERNELS[kind](spec, p1, y1, weights)
+    assert np.all(grads[y1 == 1.0] <= 0.0)
+    assert np.all(grads[y1 == 0.0] >= 0.0)
+
+
 def test_sample_grad_is_the_gradient_the_trainer_descends():
     spec = LossSpec(LossKind.TL, alpha=0.3, beta=0.7)
     p1 = np.linspace(0.0, 1.0, 11)

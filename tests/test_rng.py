@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicelab.rng import (
-    SplitMix64,
     Xoshiro256StarStar,
     permutation,
     permutation_keys,
@@ -62,8 +61,7 @@ class _RefXoshiro:
 
 
 def test_splitmix_seed0_matches_published_vector():
-    gen = SplitMix64(0)
-    assert [gen.next_u64() for _ in range(4)] == [
+    assert [splitmix64_at(0, i) for i in range(4)] == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -72,8 +70,7 @@ def test_splitmix_seed0_matches_published_vector():
 
 
 def test_splitmix_seed42_frozen_outputs():
-    gen = SplitMix64(42)
-    assert [gen.next_u64() for _ in range(4)] == [
+    assert [splitmix64_at(42, i) for i in range(4)] == [
         0xBDD732262FEB6E95,
         0x28EFE333B266F103,
         0x47526757130F9F52,
@@ -84,25 +81,36 @@ def test_splitmix_seed42_frozen_outputs():
 @given(seed=st.integers(min_value=0, max_value=_MASK))
 @settings(max_examples=50, deadline=None)
 def test_splitmix_matches_reference_transcription(seed):
-    gen = SplitMix64(seed)
     state = seed
-    for _ in range(8):
+    for i in range(8):
         state, expected = _ref_splitmix_step(state)
-        assert gen.next_u64() == expected
+        assert splitmix64_at(seed, i) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 123, 2**63])
 def test_splitmix_at_equals_sequential_stream(seed):
-    gen = SplitMix64(seed)
-    sequential = [gen.next_u64() for _ in range(10)]
+    state = seed
+    sequential = []
+    for _ in range(10):
+        state, out = _ref_splitmix_step(state)
+        sequential.append(out)
     assert [splitmix64_at(seed, i) for i in range(10)] == sequential
 
 
 def test_splitmix_rejects_negative_seed():
-    with pytest.raises(ValueError):
-        SplitMix64(-1)
-    with pytest.raises(ValueError):
-        splitmix64_at(-3, 0)
+    for seed in (-1, -3, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            splitmix64_at(seed, 0)
+    assert splitmix64_at(2**64 - 1, 0) == _ref_splitmix_step(2**64 - 1)[1]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_every_generator_rejects_a_seed_outside_64_bits(seed):
+    # Masking would alias seed 2**64 + 3 to seed 3 and replay its stream.
+    with pytest.raises(ValueError, match=str(seed)):
+        Xoshiro256StarStar(seed)
+    with pytest.raises(ValueError, match=str(seed)):
+        permutation(seed, 5)
 
 
 # --- xoshiro256** ---------------------------------------------------------

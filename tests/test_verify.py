@@ -94,6 +94,12 @@ def test_gradcheck_is_deterministic():
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
+def test_gradcheck_rejects_a_seed_outside_64_bits():
+    # Masking would alias seed 2**64 + 1 to seed 1 and report its samples.
+    with pytest.raises(ValueError, match=f"seed must lie in .*got {2**64 + 1}"):
+        gradcheck_all(5, 2**64 + 1)
+
+
 def test_gradcheck_rejects_nonpositive_sample_count():
     with pytest.raises(ValueError):
         gradcheck_all(samples_per_loss=0)
