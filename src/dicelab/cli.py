@@ -3,40 +3,52 @@
 Subcommands: run (one config, replicated), sweep (losses x ratios),
 sweep-tversky (alpha grid with beta = 1 - alpha), gradcheck (finite-difference
 audit of every analytic gradient), gen-data (write a synthetic dataset CSV).
-Exit codes: 0 success, 1 runtime or I/O failure (including gradcheck tolerance
-failures), 2 usage or config errors.
+
+Each input is checked once, where it enters: argparse parses the flags, and
+the library's specs and entry points check the values. `main` maps an error
+to its exit code by type alone: 0 success; 2 for bad input, which is an
+argparse error or a ValueError (a flag, a config file or a value the library
+rejects); 1 for an OSError or a numerical failure during training
+(TrainingDivergedError, SingularInputError), and for a gradcheck that fails
+its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from . import experiments
 from .data import DataSpec, generate, save_csv
-from .losses import LossKind
+from .losses import LossKind, SingularInputError
 from .rng import check_seed
 from .trainer import TrainingDivergedError
 from .verify import gradcheck_all, reports_to_json
 
-
-class UsageError(Exception):
-    """Bad flags or an unusable config file."""
-
-
 _LOSS_CHOICES = [k.value for k in LossKind]
 
+# Each run flag overrides one config field: flag -> (section, field).
+_OVERRIDES = {
+    "loss": ("loss", "kind"),
+    "ratio": ("data", "ratio"),
+    "seed": ("data", "seed"),
+    "epochs": ("train", "epochs"),
+    "alpha": ("loss", "alpha"),
+    "beta": ("loss", "beta"),
+    "gamma": ("loss", "gamma"),
+}
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+
+def _comma_list(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip() != ""]
+
+
+def _comma_numbers(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated numbers: {exc}") from None
-    if not values:
-        raise UsageError(f"{flag} needs at least one value")
-    return values
+        return [float(part) for part in _comma_list(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
 
 
 def _load_config(args) -> experiments.ExperimentConfig:
@@ -44,32 +56,18 @@ def _load_config(args) -> experiments.ExperimentConfig:
         try:
             config = experiments.load_config(args.config)
         except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}") from None
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-            raise UsageError(f"invalid config: {exc}") from None
+            raise ValueError(f"cannot read config: {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"invalid config: {exc}") from None
     else:
         config = experiments.default_config()
-    return _apply_overrides(config, args)
-
-
-def _apply_overrides(config, args) -> experiments.ExperimentConfig:
     try:
-        if getattr(args, "loss", None) is not None:
-            config = replace(config, loss=replace(config.loss, kind=LossKind(args.loss)))
-        if getattr(args, "ratio", None) is not None:
-            config = replace(config, data=replace(config.data, ratio=args.ratio))
-        if getattr(args, "seed", None) is not None:
-            config = replace(config, data=replace(config.data, seed=args.seed))
-        if getattr(args, "epochs", None) is not None:
-            config = replace(config, train=replace(config.train, epochs=args.epochs))
-        if getattr(args, "alpha", None) is not None:
-            config = replace(config, loss=replace(config.loss, alpha=args.alpha))
-        if getattr(args, "beta", None) is not None:
-            config = replace(config, loss=replace(config.loss, beta=args.beta))
-        if getattr(args, "gamma", None) is not None:
-            config = replace(config, loss=replace(config.loss, gamma=args.gamma))
+        for flag, (section, name) in _OVERRIDES.items():
+            if getattr(args, flag) is not None:
+                part = replace(getattr(config, section), **{name: getattr(args, flag)})
+                config = replace(config, **{section: part})
     except ValueError as exc:
-        raise UsageError(f"invalid override: {exc}") from None
+        raise ValueError(f"invalid override: {exc}") from None
     return config
 
 
@@ -100,42 +98,26 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    _emit_csv(experiments.run(config), args.out)
+    _emit_csv(experiments.run(_load_config(args)), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    try:
-        losses = [LossKind(v) for v in args.losses.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"--losses: {exc}") from None
-    if not losses:
-        raise UsageError("--losses needs at least one loss kind")
-    ratios = _parse_float_list(args.ratios, "--ratios")
-    _emit_csv(experiments.sweep(config, losses, ratios), args.out)
+    _emit_csv(experiments.sweep(_load_config(args), args.losses, args.ratios), args.out)
     return 0
 
 
 def _cmd_sweep_tversky(args) -> int:
     config = _load_config(args)
     config = replace(config, loss=replace(config.loss, kind=LossKind.TL))
-    alphas = _parse_float_list(args.alphas, "--alphas")
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            raise UsageError(f"--alphas values must lie in [0, 1], got {a}")
-    _emit_csv(experiments.sweep_tversky(config, alphas), args.out)
+    _emit_csv(experiments.sweep_tversky(config, args.alphas), args.out)
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
     if args.samples < 1:
-        raise UsageError("--samples must be a positive integer")
-    try:
-        check_seed(args.seed, "--seed")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("--samples must be a positive integer")
+    check_seed(args.seed, "--seed")
     reports = gradcheck_all(args.samples, args.seed)
     text = reports_to_json(reports, args.samples, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -153,17 +135,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        spec = DataSpec(
-            n_positive=args.n_positive,
-            ratio=args.ratio,
-            easy_negative_fraction=args.easy_fraction,
-            feature_dim=args.feature_dim,
-            seed=args.seed,
-            jitter_sigma=args.jitter_sigma,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = DataSpec(
+        n_positive=args.n_positive,
+        ratio=args.ratio,
+        easy_negative_fraction=args.easy_fraction,
+        feature_dim=args.feature_dim,
+        seed=args.seed,
+        jitter_sigma=args.jitter_sigma,
+    )
     save_csv(generate(spec), args.out)
     return 0
 
@@ -183,11 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(p_sweep)
     p_sweep.add_argument(
         "--losses",
+        type=_comma_list,
         default="CE,DSC_selfadj",
         help="comma-separated loss kinds (default: CE,DSC_selfadj)",
     )
     p_sweep.add_argument(
-        "--ratios", default="1,10,100", help="comma-separated ratios (default: 1,10,100)"
+        "--ratios",
+        type=_comma_numbers,
+        default="1,10,100",
+        help="comma-separated ratios (default: 1,10,100)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -195,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(p_tv)
     p_tv.add_argument(
         "--alphas",
+        type=_comma_numbers,
         default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
         help="comma-separated alphas in [0, 1]",
     )
@@ -227,12 +211,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError, TrainingDivergedError) as exc:
+    except (OSError, TrainingDivergedError, SingularInputError) as exc:  # before its base ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 def entrypoint() -> None:

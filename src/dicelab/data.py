@@ -45,6 +45,31 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _check_jitter_sigma(jitter_sigma: float) -> None:
+    if not (math.isfinite(jitter_sigma) and jitter_sigma >= 0.0):
+        raise ValueError(f"jitter_sigma must be finite and nonnegative, got {jitter_sigma!r}")
+
+
+@dataclass(frozen=True)
+class TransformSpec:
+    """A resampling transform and its target; see `transform` for what each kind does."""
+
+    kind: TransformKind = TransformKind.ORIGINAL
+    target_fraction_positive: float = 0.5
+    growth_factor: float = 1.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", TransformKind(self.kind))
+        if not (0.0 <= self.target_fraction_positive <= 1.0):
+            raise ValueError(
+                f"target_fraction_positive must lie in [0, 1], got {self.target_fraction_positive!r}"
+            )
+        if not math.isfinite(self.growth_factor):
+            raise ValueError(f"growth_factor must be finite, got {self.growth_factor!r}")
+        if self.growth_factor < 1.0:
+            raise InfeasibleTransformError(f"growth_factor must be at least 1, got {self.growth_factor!r}")
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Recipe for one synthetic dataset; negatives = round(ratio * n_positive)."""
@@ -66,8 +91,7 @@ class DataSpec:
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
         check_seed(self.seed, "seed")
-        if self.jitter_sigma < 0.0:
-            raise ValueError("jitter_sigma must be nonnegative")
+        _check_jitter_sigma(self.jitter_sigma)
 
     @property
     def n_negative(self) -> int:
@@ -185,13 +209,10 @@ def transform(
     by growth_factor with the class fractions unchanged (up to rounding).
     The input batch is never mutated.
     """
-    kind = TransformKind(kind)
+    kind = TransformSpec(kind, target_fraction_positive, growth_factor).kind  # the spec checks all three
     if batch.n == 0:
         raise ValueError("cannot transform an empty batch")
-    if not (0.0 <= target_fraction_positive <= 1.0):
-        raise ValueError("target_fraction_positive must lie in [0, 1]")
-    if jitter_sigma < 0.0:
-        raise ValueError("jitter_sigma must be nonnegative")
+    _check_jitter_sigma(jitter_sigma)
     check_seed(seed, "seed")
 
     if kind is TransformKind.ORIGINAL:
@@ -211,7 +232,8 @@ def transform(
         n_remove = n_neg - n_neg_target
         if n_remove < 0:
             raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already above target {target}"
+                f"positive fraction {batch.positive_fraction:.4f} already above "
+                f"target_fraction_positive {target}"
             )
         # Partial Fisher-Yates over the negative positions; the first n_remove
         # entries after shuffling are dropped, everything else keeps its order.
@@ -233,7 +255,8 @@ def transform(
             n_add_pos = _target_positive_count(target, n_neg) - n_pos
         if n_add_pos < 0:
             raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already above target {target}"
+                f"positive fraction {batch.positive_fraction:.4f} already above "
+                f"target_fraction_positive {target}"
             )
     elif kind is TransformKind.ADD_NEGATIVE:
         if n_neg == 0:
@@ -244,11 +267,10 @@ def transform(
             n_add_neg = _target_negative_count(target, n_pos) - n_neg
         if n_add_neg < 0:
             raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already below target {target}"
+                f"positive fraction {batch.positive_fraction:.4f} already below "
+                f"target_fraction_positive {target}"
             )
     else:  # ADD_BOTH
-        if growth_factor < 1.0:
-            raise InfeasibleTransformError("growth_factor must be at least 1")
         n_add_pos = _round_half_up((growth_factor - 1.0) * n_pos)
         n_add_neg = _round_half_up((growth_factor - 1.0) * n_neg)
         if (n_add_pos > 0 and n_pos == 0) or (n_add_neg > 0 and n_neg == 0):

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .data import DataSpec, TransformKind, generate, transform
+from .data import DataSpec, TransformKind, TransformSpec, generate, transform
 from .losses import LossKind, LossSpec
 from .metrics import ClassifierMetrics, check_threshold
 from .rng import check_seed, splitmix64_at
@@ -26,15 +26,6 @@ from .trainer import ModelSpec, TrainSpec, evaluate, train
 _TAG_GENERATE = 0
 _TAG_TRANSFORM = 1
 _TAG_TRAINER = 2
-
-@dataclass(frozen=True)
-class TransformSpec:
-    kind: TransformKind = TransformKind.ORIGINAL
-    target_fraction_positive: float = 0.5
-    growth_factor: float = 1.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", TransformKind(self.kind))
 
 
 @dataclass(frozen=True)

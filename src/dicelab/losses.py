@@ -258,8 +258,11 @@ def class_weight_coefficient(n_total: int, n_class: int, k: float) -> float:
     if not (0 < n_class <= n_total):
         raise ValueError(f"need 0 < n_class <= n_total, got {n_class} of {n_total}")
     argument = (n_total - n_class) / n_class + k
-    if argument <= 0.0:
-        raise ValueError(f"log argument must be positive, got {argument}")
+    if argument < 1.0:
+        raise ValueError(
+            f"k = {k!r} makes the weight log10({argument!r}) of a class with {n_class} "
+            f"of {n_total} examples negative"
+        )
     return math.log10(argument)
 
 

@@ -83,7 +83,7 @@ def _sample_errors(analytic: float, estimate: float) -> tuple[float, float]:
     return abs_err, rel_err
 
 
-def _check_set_dice_sample(rng: Xoshiro256StarStar, h: float) -> tuple[float, float, dict]:
+def _check_set_dice_sample(rng: Xoshiro256StarStar) -> tuple[float, float, dict]:
     """One DL_set sample: perturb a single coordinate of a small random batch."""
     m = 4
     p1 = np.array([0.01 + 0.98 * rng.uniform() for _ in range(m)])
@@ -92,11 +92,11 @@ def _check_set_dice_sample(rng: Xoshiro256StarStar, h: float) -> tuple[float, fl
     j = rng.randbelow(m)
     analytic = float(set_dice_grads(p1, y1, gamma)[j])
     shifted = p1.copy()
-    shifted[j] = p1[j] + h
+    shifted[j] = p1[j] + DEFAULT_STEP
     hi = set_dice_value(shifted, y1, gamma)
-    shifted[j] = p1[j] - h
+    shifted[j] = p1[j] - DEFAULT_STEP
     lo = set_dice_value(shifted, y1, gamma)
-    estimate = (hi - lo) / (2.0 * h)
+    estimate = (hi - lo) / (2.0 * DEFAULT_STEP)
     abs_err, rel_err = _sample_errors(analytic, estimate)
     inputs = {
         "p1": [float(v) for v in p1],
@@ -107,9 +107,7 @@ def _check_set_dice_sample(rng: Xoshiro256StarStar, h: float) -> tuple[float, fl
     return abs_err, rel_err, inputs
 
 
-def _check_scalar_sample(
-    kind: LossKind, rng: Xoshiro256StarStar, h: float
-) -> tuple[float, float, dict]:
+def _check_scalar_sample(kind: LossKind, rng: Xoshiro256StarStar) -> tuple[float, float, dict]:
     """One per-sample check with randomized input and hyperparameters."""
     p1 = 0.01 + 0.98 * rng.uniform()
     y1 = 1 if rng.uniform() < 0.5 else 0
@@ -125,7 +123,7 @@ def _check_scalar_sample(
         # Exercise the weight path with the same coefficient the trainer uses.
         class_weight = class_weight_coefficient(100, 50, k)
     analytic = float(sample_grad(spec, p1, y1, class_weight))
-    estimate = finite_diff_grad(spec, p1, OneHotLabel.from_class(y1), h, class_weight)
+    estimate = finite_diff_grad(spec, p1, OneHotLabel.from_class(y1), class_weight=class_weight)
     abs_err, rel_err = _sample_errors(analytic, estimate)
     inputs = {
         "p1": p1,
@@ -139,9 +137,7 @@ def _check_scalar_sample(
     return abs_err, rel_err, inputs
 
 
-def gradcheck_all(
-    samples_per_loss: int = 200, seed: int = 0, h: float = DEFAULT_STEP
-) -> list[GradCheckReport]:
+def gradcheck_all(samples_per_loss: int = 200, seed: int = 0) -> list[GradCheckReport]:
     """Sweep every loss kind over randomized inputs and hyperparameters.
 
     Reported max_rel_error ignores samples whose absolute error already sits
@@ -160,9 +156,9 @@ def gradcheck_all(
         passed = True
         for _ in range(samples_per_loss):
             if kind is LossKind.DL_SET:
-                abs_err, rel_err, inputs = _check_set_dice_sample(rng, h)
+                abs_err, rel_err, inputs = _check_set_dice_sample(rng)
             else:
-                abs_err, rel_err, inputs = _check_scalar_sample(kind, rng, h)
+                abs_err, rel_err, inputs = _check_scalar_sample(kind, rng)
             effective_rel = rel_err if abs_err >= ABS_TOL else 0.0
             max_rel = max(max_rel, effective_rel)
             max_abs = max(max_abs, abs_err)

@@ -11,6 +11,7 @@ import sys
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dicelab
@@ -98,6 +99,74 @@ def test_unwritable_output_path_is_a_runtime_error(tiny_config_path, tmp_path, c
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _config_path(tmp_path, **sections) -> str:
+    """tiny_config's JSON with the given sections merged in; Python's json writes NaN and Infinity."""
+    payload = json.loads(config_to_json(tiny_config()))
+    for section, values in sections.items():
+        payload[section].update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+# Each bad input: the subcommand and its flags (`--config <path>` goes in after
+# the subcommand), the sections merged into tiny_config, and the field or flag
+# its error must name.
+_BAD_INPUTS = {
+    "negative sweep ratio": (["sweep", "--ratios", "-1"], {}, "ratio"),
+    "infinite growth_factor": (
+        ["run"],
+        {"transform": {"kind": "add_both", "growth_factor": float("inf")}},
+        "growth_factor",
+    ),
+    "growth_factor below 1": (
+        ["run"],
+        {"transform": {"kind": "add_both", "growth_factor": 0.5}},
+        "growth_factor",
+    ),
+    "target above 1": (
+        ["run"],
+        {"transform": {"kind": "add_positive", "target_fraction_positive": 1.5}},
+        "target_fraction_positive",
+    ),
+    "infeasible add_positive target": (
+        ["run"],
+        {"transform": {"kind": "add_positive", "target_fraction_positive": 0.1}},
+        "target_fraction_positive",
+    ),
+    "NaN jitter_sigma": (["run"], {"data": {"jitter_sigma": float("nan")}}, "jitter_sigma"),
+    "WCE k that makes a weight negative": (
+        ["run"],
+        {"data": {"ratio": 10.0}, "loss": {"kind": "WCE", "k": 0.5}},
+        "k = 0.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, sections, named", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_error_line_that_names_it(argv, sections, named, tmp_path, capsys):
+    """Bad input is a usage error (exit 2) wherever the library finds it, never a traceback."""
+    path = _config_path(tmp_path, **sections)
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "loss, raised",
+    [("TL", "non-finite loss"), ("DL_sample", "dice-family denominator is zero")],
+    ids=["TrainingDivergedError", "SingularInputError"],
+)
+def test_numerical_failure_during_training_is_a_runtime_error(loss, raised, tmp_path, capsys):
+    path = _config_path(tmp_path, loss={"kind": loss, "gamma": 0}, train={"learning_rate": 1e4})
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", path]) == 1
+    assert raised in capsys.readouterr().err
 
 
 # --- sweep ------------------------------------------------------------------
@@ -213,6 +282,31 @@ def test_gen_data_rejects_a_seed_of_64_bits_or_more(tmp_path, capsys):
     assert main(["gen-data", "--seed", str(2**64), "--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- help -------------------------------------------------------------------
+
+
+# sha256 of `dicelab [subcommand] --help` at 80 columns, recorded under
+# Python 3.11 before the comma-list flags were parsed by argparse `type=`.
+_HELP_SHA256 = {
+    "": "688003fc9df70c226d1b93091ba0c6020cd943193e1edb08c4f67aaaecd391a9",
+    "run": "def8b286454ac768e5326398105ac16913ee99707b9ae300eb056b062bf0cd82",
+    "sweep": "3403344d6ecb193f79cf4ec8f95e3cfb06f49514880699002e6815b3f0b6faa5",
+    "sweep-tversky": "fd885a815fa3b2c3f022b9b2d23f287cc4aa67b1c9bbb008d31ec328a033d8f1",
+    "gradcheck": "484453fc4692d9e634c32932df7cc905cea07466710b2f8f51a7428f45f9f9fc",
+    "gen-data": "432e8ae390d2031df6da8ba8303b0edd4ea634ce754913e58e7d8afeb9f91dd4",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse lays out help differently in other Python versions"
+)
+@pytest.mark.parametrize("command", _HELP_SHA256, ids=lambda c: c or "dicelab")
+def test_help_text_is_frozen(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*filter(None, [command]), "--help"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _HELP_SHA256[command]
 
 
 # --- process-level checks ---------------------------------------------------

@@ -18,6 +18,7 @@ from dicelab.data import (
     InfeasibleTransformError,
     LabeledBatch,
     TransformKind,
+    TransformSpec,
     generate,
     load_csv,
     save_csv,
@@ -64,6 +65,35 @@ def test_data_spec_validation():
         DataSpec(n_positive=10, ratio=1.0, seed=-1)
     with pytest.raises(ValueError):
         DataSpec(n_positive=10, ratio=1.0, jitter_sigma=-0.1)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_jitter_sigma_must_be_finite_and_nonnegative(sigma):
+    """NaN passes a plain `< 0` test; one check serves the spec and `transform`."""
+    with pytest.raises(ValueError, match="jitter_sigma must be finite and nonnegative"):
+        DataSpec(n_positive=10, ratio=1.0, jitter_sigma=sigma)
+    with pytest.raises(ValueError, match="jitter_sigma must be finite and nonnegative"):
+        transform(_batch_37_63(), TransformKind.ADD_POSITIVE, jitter_sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("target_fraction_positive", 1.5, ValueError),
+        ("target_fraction_positive", -0.1, ValueError),
+        ("target_fraction_positive", float("nan"), ValueError),
+        ("growth_factor", float("inf"), ValueError),
+        ("growth_factor", float("nan"), ValueError),
+        ("growth_factor", 0.5, InfeasibleTransformError),
+    ],
+)
+def test_transform_spec_checks_its_fields(field, value, error):
+    """A bad transform is rejected where the spec is built, whatever its kind."""
+    for kind in TransformKind:
+        with pytest.raises(error, match=field):
+            TransformSpec(kind, **{field: value})
+        with pytest.raises(error, match=field):
+            transform(_batch_37_63(), kind, **{field: value})
 
 
 @pytest.mark.parametrize("seed", [2**64, 2**64 + 3, 2**70])

@@ -308,6 +308,12 @@ def test_config_from_dict_applies_section_defaults():
     assert config.replicate_seeds == (1, 2, 3, 4, 5)
 
 
+def test_transform_spec_lives_in_data_and_experiments_reexports_it():
+    from dicelab import data
+
+    assert TransformSpec is data.TransformSpec
+
+
 def test_config_from_dict_rejects_unknown_or_missing_keys():
     good = {"data": {"n_positive": 10, "ratio": 2.0}, "loss": {"kind": "CE"}}
     with pytest.raises(ValueError, match="unknown config keys"):

@@ -188,6 +188,13 @@ def test_class_weight_coefficient_rejects_invalid_counts():
         class_weight_coefficient(100, 101, 1.0)
 
 
+def test_class_weight_coefficient_names_k_when_the_weight_would_be_negative():
+    # The majority class of a ratio-10 batch: log10(100 / 1000 + 0.5) < 0.
+    with pytest.raises(ValueError, match=r"k = 0\.5 .* class with 1000 of 1100 examples negative"):
+        class_weight_coefficient(1100, 1000, 0.5)
+    assert class_weight_coefficient(1100, 1000, 0.9) == 0.0  # log10(1): zero, not negative
+
+
 def test_weighted_cross_entropy_scales_cross_entropy():
     wce, ce = LossSpec(LossKind.WCE), LossSpec(LossKind.CE)
     value, grad = _value_grad(wce, 0.7, 1.0, 0.69897)
