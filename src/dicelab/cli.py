@@ -44,6 +44,12 @@ def _comma_list(text: str) -> list[str]:
     return [part for part in text.split(",") if part.strip() != ""]
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return int(text)
+
+
 def _comma_numbers(text: str) -> list[float]:
     try:
         return [float(part) for part in _comma_list(text)]
@@ -72,12 +78,10 @@ def _load_config(args) -> experiments.ExperimentConfig:
 
 
 def _emit_csv(rows, out_path) -> None:
-    text = experiments.rows_to_csv(rows)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(experiments.rows_to_csv(rows))
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        experiments.write_csv(rows, out_path)
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,8 +119,6 @@ def _cmd_sweep_tversky(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be a positive integer")
     check_seed(args.seed, "--seed")
     reports = gradcheck_all(args.samples, args.seed)
     text = reports_to_json(reports, args.samples, args.seed)
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tv.set_defaults(handler=_cmd_sweep_tversky)
 
     p_gc = sub.add_parser("gradcheck", help="audit analytic gradients against finite differences")
-    p_gc.add_argument("--samples", type=int, default=200, help="samples per loss kind")
+    p_gc.add_argument("--samples", type=_positive_int, default=200, help="samples per loss kind")
     p_gc.add_argument("--seed", type=int, default=0, help="seed of the sampled inputs, in [0, 2**64)")
     p_gc.add_argument("--out", default="gradcheck.json", help="JSON report path")
     p_gc.set_defaults(handler=_cmd_gradcheck)

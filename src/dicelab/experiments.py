@@ -193,11 +193,10 @@ def sweep(
     """Cross every loss kind with every imbalance ratio; each ratio is one data group."""
     if not losses or not ratios:
         raise ValueError("sweep needs at least one loss and one ratio")
-    kinds = [LossKind(kind) for kind in losses]
     configs = []
     for ratio in ratios:
         data = replace(config.data, ratio=float(ratio))
-        configs.extend(replace(config, data=data, loss=replace(config.loss, kind=kind)) for kind in kinds)
+        configs.extend(replace(config, data=data, loss=replace(config.loss, kind=kind)) for kind in losses)
     return grid(configs)
 
 

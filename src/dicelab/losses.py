@@ -127,7 +127,11 @@ class LossSpec:
     detach_weight: bool = True
 
     def __post_init__(self):
-        kind = LossKind(self.kind)
+        try:
+            kind = LossKind(self.kind)
+        except ValueError:
+            choices = ", ".join(k.value for k in LossKind)
+            raise ValueError(f"kind must be one of {choices}, got {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
         if self.alpha is None:
             object.__setattr__(self, "alpha", 0.5 if kind is LossKind.TL else 1.0)

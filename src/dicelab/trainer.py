@@ -5,13 +5,13 @@ parameter init, epoch shuffles, and batch order all come from the shared
 seeded generator family, so retraining reproduces the same parameters bit
 for bit. Gradients flow through the chain dL/dtheta =
 dL/dp1 * p1 * (1 - p1) * dz/dtheta, with dL/dp1 supplied analytically by the
-loss module.
+loss module. `train` returns the parameters only; `evaluate` scores them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +68,12 @@ class TrainedModel:
     """Flat parameter vector plus the model spec needed to interpret it.
 
     Parameter layout: linear is [w (d), b]; mlp is [W1 row-major (h, d),
-    b1 (h), w2 (h), b2]. train_history holds one (mean epoch loss, training
-    F1 at threshold 0.5) pair per epoch.
+    b1 (h), w2 (h), b2].
     """
 
     parameters: np.ndarray
     model_spec: ModelSpec
     input_dim: int
-    train_history: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
         expected = parameter_count(self.model_spec, self.input_dim)
@@ -207,7 +205,7 @@ def train(
     model_spec: ModelSpec = ModelSpec(),
     train_spec: TrainSpec = TrainSpec(),
 ) -> TrainedModel:
-    """Run mini-batch SGD and return the model plus its per-epoch history."""
+    """Run mini-batch SGD and return the trained parameters; `evaluate` scores them."""
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y1 = data.labels.astype(np.float64)
     n = x.shape[0]
@@ -222,13 +220,11 @@ def train(
     params = initial_parameters(model_spec, input_dim, train_spec)
     lr = train_spec.learning_rate
     batch = train_spec.batch_size
-    history: list[tuple[float, float]] = []
 
     for epoch in range(train_spec.epochs):
         order = permutation(splitmix64_at(train_spec.seed, _EPOCH_STREAM_OFFSET + epoch), n)
         xs = x[order]
         ys = y1[order]
-        running = 0.0
         for start in range(0, n, batch):
             xb = xs[start : start + batch]
             yb = ys[start : start + batch]
@@ -239,13 +235,8 @@ def train(
                     f"{float(grad[-1])!r} at epoch {epoch}, batch starting at {start}"
                 )
             params -= lr * grad
-            running += value * xb.shape[0]
-        p1_all, _ = _forward_parts(params, model_spec, x)
-        preds = (p1_all > 0.5).astype(np.int64)
-        f1 = metrics.binary_metrics(preds, data.labels).f1
-        history.append((running / n, f1))
 
-    return TrainedModel(params, model_spec, input_dim, history)
+    return TrainedModel(params, model_spec, input_dim)
 
 
 def evaluate(model: TrainedModel, data: LabeledBatch, threshold: float = 0.5) -> metrics.ClassifierMetrics:

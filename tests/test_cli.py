@@ -116,6 +116,11 @@ def _config_path(tmp_path, **sections) -> str:
 # its error must name.
 _BAD_INPUTS = {
     "negative sweep ratio": (["sweep", "--ratios", "-1"], {}, "ratio"),
+    "unknown sweep loss kind": (
+        ["sweep", "--losses", "CE,BOGUS"],
+        {},
+        "kind must be one of CE, WCE, DL_sample, DL_set, TL, DSC_selfadj, FL, got 'BOGUS'",
+    ),
     "infinite growth_factor": (
         ["run"],
         {"transform": {"kind": "add_both", "growth_factor": float("inf")}},
