@@ -32,15 +32,24 @@ PAIRS = 10
 SEED_BASE = 300
 
 
-def _git(checkout: Path, *args: str) -> str:
-    result = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
-    return result.stdout.strip() if result.returncode == 0 else ""
+def _git(checkout: Path, *args: str) -> bytes:
+    result = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True)
+    return result.stdout if result.returncode == 0 else b""
 
 
 def describe(checkout: Path) -> dict:
-    """Commit and dirtiness of a checkout ('' when it is not a git repository)."""
-    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
-    return {"commit": _git(checkout, "rev-parse", "HEAD"), "dirty": bool(dirty)}
+    """Commit of a checkout ('' outside git) and the sha256 of its uncommitted diff.
+
+    An uncommitted change side names its parent's commit, so only
+    `diff_sha256`, the digest of `git diff HEAD --binary` (null when the
+    tracked files are clean), tells the two sides apart.
+    """
+    diff = _git(checkout, "diff", "HEAD", "--binary")
+    return {
+        "commit": _git(checkout, "rev-parse", "HEAD").decode().strip(),
+        "dirty": bool(diff),
+        "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
+    }
 
 
 def benchmark_digest(checkout: Path) -> str:

@@ -135,9 +135,6 @@ class LabeledBatch:
     def positive_fraction(self) -> float:
         return self.n_positive / self.n
 
-    def copy(self) -> "LabeledBatch":
-        return LabeledBatch(self.features.copy(), self.labels.copy())
-
 
 def _fill_cluster(rng: Xoshiro256StarStar, out: np.ndarray, center: float) -> None:
     n, d = out.shape
@@ -182,13 +179,42 @@ def _jittered_copies(
     return out
 
 
-def _target_positive_count(target: float, n_negative: int) -> int:
-    # n_pos / (n_pos + n_neg) = target  =>  n_pos = target/(1-target) * n_neg
-    return _round_half_up(target / (1.0 - target) * n_negative)
+def transform_counts(spec: TransformSpec, n_pos: int, n_neg: int) -> tuple[int, int]:
+    """The (positives, negatives) that `transform` under `spec` makes of n_pos and n_neg.
 
-
-def _target_negative_count(target: float, n_positive: int) -> int:
-    return _round_half_up((1.0 - target) / target * n_positive)
+    original keeps both counts and add_both grows each by growth_factor. The
+    other kinds set one count, rounded half up, so that the positive fraction
+    hits the target: add_positive sets the positives, add_negative and
+    downsample_negative the negatives. Target 1 wants no negatives, target 0
+    no positives. The one feasibility rule: original and the add kinds may only
+    grow each class, downsample_negative may only shrink the negatives, and a
+    class that must grow needs a row to copy; else InfeasibleTransformError.
+    """
+    kind, target = spec.kind, spec.target_fraction_positive
+    if kind in (TransformKind.ORIGINAL, TransformKind.ADD_BOTH):
+        grow = spec.growth_factor - 1.0 if kind is TransformKind.ADD_BOTH else 0.0
+        want_pos, want_neg = n_pos + _round_half_up(grow * n_pos), n_neg + _round_half_up(grow * n_neg)
+    elif target >= 1.0:
+        want_pos, want_neg = n_pos, 0
+    elif target <= 0.0:
+        want_pos, want_neg = 0, n_neg
+    elif kind is TransformKind.ADD_POSITIVE:  # n_pos / (n_pos + n_neg) = target
+        want_pos, want_neg = _round_half_up(target / (1.0 - target) * n_neg), n_neg
+    else:
+        want_pos, want_neg = n_pos, _round_half_up((1.0 - target) / target * n_pos)
+    if kind is TransformKind.DOWNSAMPLE_NEGATIVE:
+        wrong_side, allowed = want_pos != n_pos or want_neg > n_neg, "only remove negatives"
+    else:
+        wrong_side, allowed = want_pos < n_pos or want_neg < n_neg, "only add rows"
+    if wrong_side:
+        raise InfeasibleTransformError(
+            f"{kind.value} to target_fraction_positive {target} needs {want_pos} positives and "
+            f"{want_neg} negatives from {n_pos} and {n_neg}, but it can {allowed}"
+        )
+    for name, have, want in (("positive", n_pos, want_pos), ("negative", n_neg, want_neg)):
+        if want > have == 0:
+            raise InfeasibleTransformError(f"{kind.value} needs {want} {name} rows but has none to copy")
+    return want_pos, want_neg
 
 
 def transform(
@@ -199,84 +225,39 @@ def transform(
     jitter_sigma: float = 0.1,
     growth_factor: float = 1.5,
 ) -> LabeledBatch:
-    """Rebalance a batch toward a target positive fraction (or grow it uniformly).
+    """Resample a batch to the class counts that `transform_counts` wants of it.
 
-    add_positive / add_negative append jittered duplicates of the stated class
-    until the fraction is within one example of the target; they never remove
-    rows, so a target on the wrong side raises InfeasibleTransformError.
-    downsample_negative removes random negatives instead. add_both ignores the
-    target and appends jittered duplicates of both classes so the batch grows
-    by growth_factor with the class fractions unchanged (up to rounding).
-    The input batch is never mutated.
+    When fewer negatives are wanted (downsample_negative), random negatives
+    are removed and the survivors keep their order. Otherwise jittered copies
+    of uniformly chosen rows of each class, positives first, are appended
+    after the original rows (none for original). The draws come from one
+    xoshiro256** stream seeded by `seed`. The result shares no array with the
+    input batch, which is never mutated.
     """
-    kind = TransformSpec(kind, target_fraction_positive, growth_factor).kind  # the spec checks all three
+    spec = TransformSpec(kind, target_fraction_positive, growth_factor)  # the spec checks all three
     if batch.n == 0:
         raise ValueError("cannot transform an empty batch")
     _check_jitter_sigma(jitter_sigma)
     check_seed(seed, "seed")
-
-    if kind is TransformKind.ORIGINAL:
-        return batch.copy()
-
-    features = batch.features
-    labels = batch.labels
-    n_pos = batch.n_positive
-    n_neg = batch.n_negative
+    n_pos, n_neg = batch.n_positive, batch.n_negative
+    want_pos, want_neg = transform_counts(spec, n_pos, n_neg)
+    features, labels = batch.features, batch.labels
     rng = Xoshiro256StarStar(seed)
-    target = target_fraction_positive
 
-    if kind is TransformKind.DOWNSAMPLE_NEGATIVE:
-        if target <= 0.0:
-            raise InfeasibleTransformError("downsampling negatives cannot lower the positive fraction")
-        n_neg_target = 0 if target >= 1.0 else _target_negative_count(target, n_pos)
-        n_remove = n_neg - n_neg_target
-        if n_remove < 0:
-            raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already above "
-                f"target_fraction_positive {target}"
-            )
+    if want_neg < n_neg:
         # Partial Fisher-Yates over the negative positions; the first n_remove
         # entries after shuffling are dropped, everything else keeps its order.
+        n_remove = n_neg - want_neg
         neg_positions = list(np.flatnonzero(labels == 0))
         for i in range(n_remove):
             j = i + rng.randbelow(len(neg_positions) - i)
             neg_positions[i], neg_positions[j] = neg_positions[j], neg_positions[i]
         keep = np.ones(batch.n, dtype=bool)
         keep[neg_positions[:n_remove]] = False
-        return LabeledBatch(features[keep].copy(), labels[keep].copy())
-
-    n_add_pos = n_add_neg = 0
-    if kind is TransformKind.ADD_POSITIVE:
-        if n_pos == 0:
-            raise InfeasibleTransformError("no positive templates to duplicate")
-        if target >= 1.0 and n_neg > 0:
-            raise InfeasibleTransformError("cannot reach an all-positive batch by adding")
-        if target < 1.0:
-            n_add_pos = _target_positive_count(target, n_neg) - n_pos
-        if n_add_pos < 0:
-            raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already above "
-                f"target_fraction_positive {target}"
-            )
-    elif kind is TransformKind.ADD_NEGATIVE:
-        if n_neg == 0:
-            raise InfeasibleTransformError("no negative templates to duplicate")
-        if target <= 0.0 and n_pos > 0:
-            raise InfeasibleTransformError("cannot reach an all-negative batch by adding")
-        if target > 0.0:
-            n_add_neg = _target_negative_count(target, n_pos) - n_neg
-        if n_add_neg < 0:
-            raise InfeasibleTransformError(
-                f"positive fraction {batch.positive_fraction:.4f} already below "
-                f"target_fraction_positive {target}"
-            )
-    else:  # ADD_BOTH
-        n_add_pos = _round_half_up((growth_factor - 1.0) * n_pos)
-        n_add_neg = _round_half_up((growth_factor - 1.0) * n_neg)
-        if (n_add_pos > 0 and n_pos == 0) or (n_add_neg > 0 and n_neg == 0):
-            raise InfeasibleTransformError("cannot duplicate an absent class")
+        return LabeledBatch(features[keep], labels[keep])
 
     # Positives first, then negatives; an empty copy consumes no draws.
+    n_add_pos, n_add_neg = want_pos - n_pos, want_neg - n_neg
     pos_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 1), n_add_pos, jitter_sigma)
     neg_rows = _jittered_copies(rng, features, np.flatnonzero(labels == 0), n_add_neg, jitter_sigma)
     out_features = np.concatenate([features, pos_rows, neg_rows])
@@ -312,8 +293,8 @@ def load_csv(path) -> LabeledBatch:
     if header_number is None:
         raise ValueError(f"{path} is empty")
     header = lines[header_number - 1].split(",")
-    if header[-1] != "label" or any(h != f"f{j}" for j, h in enumerate(header[:-1])):
-        raise ValueError(f"unexpected header {header!r}")
+    if len(header) < 2 or header[-1] != "label" or any(h != f"f{j}" for j, h in enumerate(header[:-1])):
+        raise ValueError(f"{path}:{header_number}: expected a header f0,...,label, got {header!r}")
     d = len(header) - 1
     rows = []
     labels = []
@@ -333,6 +314,8 @@ def load_csv(path) -> LabeledBatch:
         if label != 0 and label != 1:
             raise ValueError(f"{path}:{number}: labels must be 0/1, got {cells[-1]!r}")
         labels.append(label)
+    if not labels:
+        raise ValueError(f"{path} has a header but no rows")
     features = np.array(rows, dtype=np.float64)
     if not np.isfinite(features).all():
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])

@@ -16,8 +16,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .data import DataSpec, TransformKind, TransformSpec, generate, transform
-from .losses import LossKind, LossSpec
+from .data import DataSpec, TransformKind, TransformSpec, generate, transform, transform_counts
+from .losses import WEIGHTED_KINDS, LossKind, LossSpec, class_weight_coefficient
 from .metrics import ClassifierMetrics, check_threshold
 from .rng import check_seed, splitmix64_at
 from .trainer import ModelSpec, TrainSpec, evaluate, train
@@ -50,6 +50,11 @@ class ExperimentConfig:
                 f"train.seed is not a config value (got {self.train.seed}): each replicate's "
                 "trainer seed derives from its replicate seed, so set replicate_seeds instead"
             )
+        # `generate` yields the spec's class counts, so the training batch's counts are known here.
+        n_pos, n_neg = transform_counts(self.transform, self.data.n_positive, self.data.n_negative)
+        if self.loss.kind in WEIGHTED_KINDS:
+            for n_class in (n_neg, n_pos):
+                class_weight_coefficient(n_pos + n_neg, n_class, self.loss.k)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -355,6 +356,35 @@ def test_every_script_starts(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_bench_ab_digests_the_uncommitted_diff_of_a_checkout(tmp_path):
+    """A dirty change side names its parent's commit, so only the diff digest tells them apart."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab", Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
+    )
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("one\n")
+    git("init", "-q")
+    git("add", "tracked.txt")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false",
+        "commit", "-q", "-m", "one")
+    clean = bench_ab.describe(tmp_path)
+    assert len(clean["commit"]) == 40 and not clean["dirty"] and clean["diff_sha256"] is None
+    tracked.write_text("two\n")
+    first = bench_ab.describe(tmp_path)
+    tracked.write_text("three\n")
+    second = bench_ab.describe(tmp_path)
+    assert first["commit"] == second["commit"] == clean["commit"]
+    assert first["dirty"] and len(first["diff_sha256"]) == 64
+    assert second["diff_sha256"] != first["diff_sha256"]
 
 
 # sha256 of the CSV that scripts/run_resampling_ablation.py wrote with

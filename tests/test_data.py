@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicelab.data import (
@@ -23,6 +23,7 @@ from dicelab.data import (
     load_csv,
     save_csv,
     transform,
+    transform_counts,
 )
 
 
@@ -284,6 +285,51 @@ def test_transform_accepts_string_kind():
     assert out.positive_fraction == pytest.approx(0.5)
 
 
+@given(
+    kind=st.sampled_from(list(TransformKind)),
+    # The wanted counts grow without bound as the target nears 0 or 1, so the
+    # open interval stops at 0.01 and 0.99 to keep every batch small.
+    target=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+    growth=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+    n_pos=st.integers(0, 30),
+    n_neg=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_transform_yields_the_counts_transform_counts_wants(kind, target, growth, n_pos, n_neg, seed):
+    """One rule for every kind: the output has the wanted counts, or both raise."""
+    assume(n_pos + n_neg > 0)
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.array([1] * n_pos + [0] * n_neg))
+    batch = LabeledBatch.from_arrays(rng.normal(size=(n_pos + n_neg, 2)), labels)
+    try:
+        want = transform_counts(TransformSpec(kind, target, growth), n_pos, n_neg)
+    except InfeasibleTransformError:
+        with pytest.raises(InfeasibleTransformError):
+            transform(batch, kind, target_fraction_positive=target, seed=seed, growth_factor=growth)
+        return
+    out = transform(batch, kind, target_fraction_positive=target, seed=seed, growth_factor=growth)
+    assert (out.n_positive, out.n_negative) == want
+
+
+@pytest.mark.parametrize(
+    "kind, target, label",
+    [
+        (TransformKind.DOWNSAMPLE_NEGATIVE, 0.0, 0),
+        (TransformKind.ADD_POSITIVE, 0.0, 0),
+        (TransformKind.ADD_NEGATIVE, 1.0, 1),
+    ],
+    ids=["downsample_negative to 0, all negative", "add_positive to 0, all negative", "add_negative to 1, all positive"],
+)
+def test_single_class_batch_at_its_wanted_counts_comes_back_unchanged(kind, target, label):
+    """These single-class batches already hold the counts their kind wants, so nothing moves."""
+    batch = LabeledBatch.from_arrays(np.arange(6.0).reshape(3, 2), np.full(3, label))
+    out = transform(batch, kind, target_fraction_positive=target, seed=1)
+    assert np.array_equal(out.features, batch.features)
+    assert np.array_equal(out.labels, batch.labels)
+    assert out.features is not batch.features and out.labels is not batch.labels
+
+
 # --- batch container --------------------------------------------------------
 
 
@@ -346,4 +392,17 @@ def test_load_csv_rejects_non_finite_features(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"f0,f1,label\n0.5,0.25,1\n\n{cell},0.0,0\n")
     with pytest.raises(ValueError, match=r"nonfinite\.csv:4: feature values must be finite"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("f0,f1,label\n", "has a header but no rows"), ("label\n1\n0\n", "expected a header")],
+    ids=["header only", "no feature column"],
+)
+def test_load_csv_rejects_a_file_without_rows_or_feature_columns(tmp_path, text, error):
+    """Neither file holds a batch that DataSpec could describe (n >= 1 rows, d >= 1 features)."""
+    path = tmp_path / "hollow.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + error):
         load_csv(path)

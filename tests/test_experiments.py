@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from dicelab.data import DataSpec, TransformKind, generate
+from dicelab.data import DataSpec, InfeasibleTransformError, TransformKind, generate
 from dicelab import experiments
 from dicelab.experiments import (
     CSV_COLUMNS,
@@ -124,6 +124,33 @@ def test_train_seed_is_not_an_experiment_config_value():
     with pytest.raises(ValueError, match=r"train\.seed"):
         config_from_dict(payload)
     assert "seed" not in config_to_dict(tiny_config())["train"]
+
+
+def test_sweep_rejects_an_unreachable_target_before_drawing_any_data(monkeypatch):
+    """Ratio 1 is already above 0.2 positive; the ratio-100 group must not train first."""
+
+    def no_data(spec):
+        raise AssertionError("generate was called")
+
+    monkeypatch.setattr(experiments, "generate", no_data)
+    config = tiny_config(
+        data=DataSpec(n_positive=30, ratio=10.0, seed=5),
+        transform=TransformSpec(TransformKind.ADD_POSITIVE, target_fraction_positive=0.2),
+    )
+    with pytest.raises(InfeasibleTransformError, match="target_fraction_positive 0.2"):
+        sweep(config, [LossKind.CE], ratios=[100, 10, 1])
+
+
+@pytest.mark.parametrize("kind", [LossKind.WCE, LossKind.FL])
+def test_class_weights_are_checked_on_the_transformed_counts(kind):
+    """k = 0.5 makes the majority weight negative at ratio 10, but not once add_positive balances it."""
+    data = DataSpec(n_positive=30, ratio=10.0)
+    with pytest.raises(ValueError, match="k = 0.5"):
+        ExperimentConfig(data=data, loss=LossSpec(kind, k=0.5))
+    balanced = TransformSpec(TransformKind.ADD_POSITIVE, target_fraction_positive=0.5)
+    ExperimentConfig(data=data, loss=LossSpec(kind, k=0.5), transform=balanced)
+    with pytest.raises(ValueError, match="need 0 < n_class"):
+        ExperimentConfig(data=DataSpec(n_positive=1, ratio=0.4), loss=LossSpec(kind))
 
 
 def test_data_seed_moves_only_the_held_out_set(monkeypatch):
