@@ -3,6 +3,8 @@
 Subcommands: run (one config, replicated), sweep (losses x ratios),
 sweep-tversky (alpha grid with beta = 1 - alpha), gradcheck (finite-difference
 audit of every analytic gradient), gen-data (write a synthetic dataset CSV).
+A sweep takes only the override flags whose fields its axes do not set:
+sweep has no --loss or --ratio, and sweep-tversky no --loss, --alpha or --beta.
 
 Each input is checked once, where it enters: argparse parses the flags, and
 the library's specs and entry points check the values. `main` maps an error
@@ -28,15 +30,23 @@ from .verify import gradcheck_all, reports_to_json
 
 _LOSS_CHOICES = [k.value for k in LossKind]
 
-# Each run flag overrides one config field: flag -> (section, field).
+# Each run flag overrides one config field: flag -> (section, field, argparse settings).
 _OVERRIDES = {
-    "loss": ("loss", "kind"),
-    "ratio": ("data", "ratio"),
-    "seed": ("data", "seed"),
-    "epochs": ("train", "epochs"),
-    "alpha": ("loss", "alpha"),
-    "beta": ("loss", "beta"),
-    "gamma": ("loss", "gamma"),
+    "loss": ("loss", "kind", dict(choices=_LOSS_CHOICES, help="override the loss kind")),
+    "ratio": ("data", "ratio", dict(type=float, help="override the negative:positive ratio")),
+    "seed": (
+        "data",
+        "seed",
+        dict(
+            type=int,
+            help="override data.seed, which seeds only the held-out set (as seed + 1); "
+            "training data come from the replicate seeds",
+        ),
+    ),
+    "epochs": ("train", "epochs", dict(type=int, help="override the epoch count")),
+    "alpha": ("loss", "alpha", dict(type=float, help="override the loss alpha")),
+    "beta": ("loss", "beta", dict(type=float, help="override the loss beta")),
+    "gamma": ("loss", "gamma", dict(type=float, help="override the loss gamma")),
 }
 
 
@@ -68,8 +78,8 @@ def _load_config(args) -> experiments.ExperimentConfig:
     else:
         config = experiments.default_config()
     try:
-        for flag, (section, name) in _OVERRIDES.items():
-            if getattr(args, flag) is not None:
+        for flag, (section, name, _) in _OVERRIDES.items():
+            if getattr(args, flag, None) is not None:  # a sweep axis has no flag
                 part = replace(getattr(config, section), **{name: getattr(args, flag)})
                 config = replace(config, **{section: part})
     except ValueError as exc:
@@ -84,20 +94,12 @@ def _emit_csv(rows, out_path) -> None:
         experiments.write_csv(rows, out_path)
 
 
-def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, axes: tuple[str, ...] = ()) -> None:
+    """--config, each override flag whose field no sweep axis sets, and --out."""
     parser.add_argument("--config", help="JSON experiment config; defaults apply when omitted")
-    parser.add_argument("--loss", choices=_LOSS_CHOICES, help="override the loss kind")
-    parser.add_argument("--ratio", type=float, help="override the negative:positive ratio")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="override data.seed, which seeds only the held-out set (as seed + 1); "
-        "training data come from the replicate seeds",
-    )
-    parser.add_argument("--epochs", type=int, help="override the epoch count")
-    parser.add_argument("--alpha", type=float, help="override the loss alpha")
-    parser.add_argument("--beta", type=float, help="override the loss beta")
-    parser.add_argument("--gamma", type=float, help="override the loss gamma")
+    for flag, (_, _, settings) in _OVERRIDES.items():
+        if flag not in axes:
+            parser.add_argument(f"--{flag}", **settings)
     parser.add_argument("--out", help="write the result CSV here (default: stdout)")
 
 
@@ -157,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="train one configuration across replicate seeds")
-    _add_common_run_flags(p_run)
+    _add_run_flags(p_run)
     p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cross loss kinds with imbalance ratios")
-    _add_common_run_flags(p_sweep)
+    _add_run_flags(p_sweep, axes=("loss", "ratio"))
     p_sweep.add_argument(
         "--losses",
         type=_comma_list,
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_tv = sub.add_parser("sweep-tversky", help="sweep Tversky alpha with beta = 1 - alpha")
-    _add_common_run_flags(p_tv)
+    _add_run_flags(p_tv, axes=("loss", "alpha", "beta"))
     p_tv.add_argument(
         "--alphas",
         type=_comma_numbers,

@@ -86,6 +86,14 @@ class DataSpec:
             raise ValueError("n_positive must be at least 1")
         if not (self.ratio > 0.0 and math.isfinite(self.ratio)):
             raise ValueError(f"ratio must be a positive real, got {self.ratio}")
+        try:
+            n_negative = float(self.ratio * self.n_positive)
+        except OverflowError:  # an integer product beyond the float range
+            n_negative = math.inf
+        if not math.isfinite(n_negative):
+            raise ValueError(
+                f"ratio {self.ratio!r} times n_positive {self.n_positive} is too large to count negatives"
+            )
         if not (0.0 <= self.easy_negative_fraction <= 1.0):
             raise ValueError("easy_negative_fraction must lie in [0, 1]")
         if self.feature_dim < 1:
@@ -179,6 +187,16 @@ def _jittered_copies(
     return out
 
 
+def _wanted_count(spec: TransformSpec, count: float) -> int:
+    """A wanted row count rounded half up; an infinite one names the spec field that made it."""
+    if not math.isfinite(count):
+        field = "growth_factor" if spec.kind is TransformKind.ADD_BOTH else "target_fraction_positive"
+        raise InfeasibleTransformError(
+            f"{spec.kind.value} with {field} {getattr(spec, field)!r} wants more rows than a float can count"
+        )
+    return _round_half_up(count)
+
+
 def transform_counts(spec: TransformSpec, n_pos: int, n_neg: int) -> tuple[int, int]:
     """The (positives, negatives) that `transform` under `spec` makes of n_pos and n_neg.
 
@@ -187,21 +205,23 @@ def transform_counts(spec: TransformSpec, n_pos: int, n_neg: int) -> tuple[int, 
     hits the target: add_positive sets the positives, add_negative and
     downsample_negative the negatives. Target 1 wants no negatives, target 0
     no positives. The one feasibility rule: original and the add kinds may only
-    grow each class, downsample_negative may only shrink the negatives, and a
-    class that must grow needs a row to copy; else InfeasibleTransformError.
+    grow each class, downsample_negative may only shrink the negatives, a
+    class that must grow needs a row to copy, every count must be finite and
+    at least one row must remain; else InfeasibleTransformError.
     """
     kind, target = spec.kind, spec.target_fraction_positive
     if kind in (TransformKind.ORIGINAL, TransformKind.ADD_BOTH):
         grow = spec.growth_factor - 1.0 if kind is TransformKind.ADD_BOTH else 0.0
-        want_pos, want_neg = n_pos + _round_half_up(grow * n_pos), n_neg + _round_half_up(grow * n_neg)
+        want_pos = n_pos + _wanted_count(spec, grow * n_pos)
+        want_neg = n_neg + _wanted_count(spec, grow * n_neg)
     elif target >= 1.0:
         want_pos, want_neg = n_pos, 0
     elif target <= 0.0:
         want_pos, want_neg = 0, n_neg
     elif kind is TransformKind.ADD_POSITIVE:  # n_pos / (n_pos + n_neg) = target
-        want_pos, want_neg = _round_half_up(target / (1.0 - target) * n_neg), n_neg
+        want_pos, want_neg = _wanted_count(spec, target / (1.0 - target) * n_neg), n_neg
     else:
-        want_pos, want_neg = n_pos, _round_half_up((1.0 - target) / target * n_pos)
+        want_pos, want_neg = n_pos, _wanted_count(spec, (1.0 - target) / target * n_pos)
     if kind is TransformKind.DOWNSAMPLE_NEGATIVE:
         wrong_side, allowed = want_pos != n_pos or want_neg > n_neg, "only remove negatives"
     else:
@@ -214,6 +234,11 @@ def transform_counts(spec: TransformSpec, n_pos: int, n_neg: int) -> tuple[int, 
     for name, have, want in (("positive", n_pos, want_pos), ("negative", n_neg, want_neg)):
         if want > have == 0:
             raise InfeasibleTransformError(f"{kind.value} needs {want} {name} rows but has none to copy")
+    if want_pos == want_neg == 0:
+        raise InfeasibleTransformError(
+            f"{kind.value} to target_fraction_positive {target} leaves no rows of {n_pos} positives "
+            f"and {n_neg} negatives"
+        )
     return want_pos, want_neg
 
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .data import DataSpec, TransformKind, TransformSpec, generate, transform, transform_counts
+from .data import DataSpec, TransformKind, TransformSpec, _round_half_up, generate, transform, transform_counts
 from .losses import WEIGHTED_KINDS, LossKind, LossSpec, class_weight_coefficient
 from .metrics import ClassifierMetrics, check_threshold
 from .rng import check_seed, splitmix64_at
@@ -86,18 +86,19 @@ def default_config() -> ExperimentConfig:
 
 def held_out_spec(data: DataSpec) -> DataSpec:
     """Shared evaluation spec: untransformed, seed + 1 modulo 2**64, a fifth of the size."""
-    n_positive = max(1, int(math.floor(0.2 * data.n_positive + 0.5)))
+    n_positive = max(1, _round_half_up(0.2 * data.n_positive))
     return replace(data, seed=(data.seed + 1) % 2**64, n_positive=n_positive)
 
 
 def _row(config: ExperimentConfig, seed_label: str, m) -> ResultRow:
+    alpha, beta, gamma = config.loss.hyperparameters()
     return ResultRow(
         loss=config.loss.kind.value,
         ratio=config.data.ratio,
         transform=config.transform.kind.value,
-        alpha=config.loss.alpha,
-        beta=config.loss.beta,
-        gamma=config.loss.gamma,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
         seed=seed_label,
         precision=m.precision,
         recall=m.recall,

@@ -106,17 +106,19 @@ POSITIVE = OneHotLabel(0, 1)
 class LossSpec:
     """Loss selector plus hyperparameters.
 
-    alpha/beta/gamma default per kind when left as None: Tversky gets
-    alpha = beta = 0.5 (the plain dice point), the self-adjusting decay
-    exponent defaults to 1, the dice-family smoothing gamma defaults to 1,
-    and the focal focusing exponent defaults to 2. `gamma` is the smoothing
-    constant for the dice family but the focusing exponent for FL; the two
-    roles never coexist in one loss. `k` only matters for WCE/FL class
-    weights and `detach_weight` only for DSC_selfadj gradients: when True
-    (the default) the confidence-decay factor is held constant during
-    differentiation, which keeps the per-sample push monotone in p1 and is
-    the mode that actually trains; set it False to get the exact derivative
-    of the loss value (the mode finite differences can confirm).
+    alpha, beta and gamma keep the values given; None stands for the kind's
+    default, which `hyperparameters` fills in: Tversky gets alpha = beta =
+    0.5 (the plain dice point), the self-adjusting decay exponent defaults
+    to 1, the dice-family smoothing gamma defaults to 1, and the focal
+    focusing exponent defaults to 2. So `replace(spec, kind=...)` gives the
+    new kind its own defaults and keeps every value that was given. `gamma`
+    is the smoothing constant for the dice family but the focusing exponent
+    for FL; the two roles never coexist in one loss. `k` only matters for
+    WCE/FL class weights and `detach_weight` only for DSC_selfadj gradients:
+    when True (the default) the confidence-decay factor is held constant
+    during differentiation, which keeps the per-sample push monotone in p1
+    and is the mode that actually trains; set it False to get the exact
+    derivative of the loss value (the mode finite differences can confirm).
     """
 
     kind: LossKind
@@ -133,25 +135,29 @@ class LossSpec:
             choices = ", ".join(k.value for k in LossKind)
             raise ValueError(f"kind must be one of {choices}, got {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", 0.5 if kind is LossKind.TL else 1.0)
-        if self.beta is None:
-            object.__setattr__(self, "beta", 0.5 if kind is LossKind.TL else 1.0)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 2.0 if kind is LossKind.FL else 1.0)
-        for name in ("alpha", "beta", "gamma", "k"):
-            _require_finite(name, getattr(self, name))
-        if self.alpha < 0.0 or self.beta < 0.0:
+        alpha, beta, gamma = self.hyperparameters()
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("k", self.k)):
+            _require_finite(name, value)
+        if alpha < 0.0 or beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
-        if self.gamma < 0.0:
+        if gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
-        if kind in DICE_FAMILY and 0.0 < self.gamma < MIN_DICE_GAMMA:
+        if kind in DICE_FAMILY and 0.0 < gamma < MIN_DICE_GAMMA:
             raise ValueError(
-                f"gamma for {kind.value} must be 0 or at least {MIN_DICE_GAMMA!r}, got {self.gamma!r}; "
+                f"gamma for {kind.value} must be 0 or at least {MIN_DICE_GAMMA!r}, got {gamma!r}; "
                 "a smaller gamma underflows the squared denominator of the gradient"
             )
         if self.k <= 0.0:
             raise ValueError("k must be positive")
+
+    def hyperparameters(self) -> tuple[float, float, float]:
+        """The effective (alpha, beta, gamma): each given value, else the kind's default."""
+        tversky = self.kind is LossKind.TL
+        return (
+            (0.5 if tversky else 1.0) if self.alpha is None else self.alpha,
+            (0.5 if tversky else 1.0) if self.beta is None else self.beta,
+            (2.0 if self.kind is LossKind.FL else 1.0) if self.gamma is None else self.gamma,
+        )
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,7 @@ def _weighted_cross_entropy_kernel(spec, p1, y1, weights):
 
 
 def _dice_kernel(spec, p1, y1, weights):
-    gamma = spec.gamma
+    gamma = spec.hyperparameters()[2]
     num = 2.0 * p1 * y1 + gamma
     den = p1 * p1 + y1 * y1 + gamma
     if gamma == 0.0:
@@ -303,7 +309,7 @@ def _dice_kernel(spec, p1, y1, weights):
 def _set_dice_kernel(spec, p1, y1, weights):
     p1 = np.asarray(p1, dtype=np.float64)
     y1 = np.asarray(y1, dtype=np.float64)
-    gamma = spec.gamma
+    gamma = spec.hyperparameters()[2]
     num = 2.0 * np.sum(p1 * y1) + gamma
     den = np.sum(p1 * p1) + np.sum(y1 * y1) + gamma
     if gamma == 0.0:
@@ -312,7 +318,7 @@ def _set_dice_kernel(spec, p1, y1, weights):
 
 
 def _tversky_kernel(spec, p1, y1, weights):
-    alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
+    alpha, beta, gamma = spec.hyperparameters()
     y0 = 1.0 - y1
     p0 = 1.0 - p1
     overlap = p1 * y1
@@ -328,7 +334,7 @@ def _self_adjusting_dice_kernel(spec, p1, y1, weights):
     """With spec.detach_weight the decay factor (1 - p1)**alpha is held
     constant during differentiation (a stop-gradient on the weight); the
     value is the same either way."""
-    alpha, gamma = spec.alpha, spec.gamma
+    alpha, _, gamma = spec.hyperparameters()
     q = 1.0 - p1
     w = q ** alpha
     u = w * p1
@@ -344,7 +350,7 @@ def _self_adjusting_dice_kernel(spec, p1, y1, weights):
 
 
 def _focal_kernel(spec, p1, y1, weights):
-    gamma = spec.gamma
+    gamma = spec.hyperparameters()[2]
     p1c = clamp_probability(p1)
     p_true = y1 * p1c + (1.0 - y1) * (1.0 - p1c)
     one_minus = 1.0 - p_true
@@ -392,18 +398,19 @@ def self_adjusting_dice_grad(p1, y1, alpha, gamma, detach_weight=False):
 def sample_value(spec: LossSpec, p1, y1, class_weight=1.0):
     """Per-sample loss value for any kind with a per-sample form."""
     kind = spec.kind
+    alpha, beta, gamma = spec.hyperparameters()
     if kind is LossKind.CE:
         return cross_entropy_value(p1, y1)
     if kind is LossKind.WCE:
         return class_weight * cross_entropy_value(p1, y1)
     if kind is LossKind.DL_SAMPLE:
-        return dice_value(p1, y1, spec.gamma)
+        return dice_value(p1, y1, gamma)
     if kind is LossKind.TL:
-        return tversky_value(p1, y1, spec.alpha, spec.beta, spec.gamma)
+        return tversky_value(p1, y1, alpha, beta, gamma)
     if kind is LossKind.DSC_SELFADJ:
-        return self_adjusting_dice_value(p1, y1, spec.alpha, spec.gamma)
+        return self_adjusting_dice_value(p1, y1, alpha, gamma)
     if kind is LossKind.FL:
-        return focal_value(p1, y1, spec.gamma, class_weight)
+        return focal_value(p1, y1, gamma, class_weight)
     raise ValueError(f"{kind.value} has no per-sample form")
 
 

@@ -68,8 +68,9 @@ def finite_diff_grad(
             f"finite-difference step crosses the (0, 1) domain boundary at p1 = {p1}"
         )
     if spec.kind is LossKind.DL_SET:
-        hi = set_dice_value([p1 + h], [y.y1], spec.gamma)
-        lo = set_dice_value([p1 - h], [y.y1], spec.gamma)
+        gamma = spec.hyperparameters()[2]
+        hi = set_dice_value([p1 + h], [y.y1], gamma)
+        lo = set_dice_value([p1 - h], [y.y1], gamma)
     else:
         hi = sample_value(spec, p1 + h, y.y1, class_weight)
         lo = sample_value(spec, p1 - h, y.y1, class_weight)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dicelab
 from conftest import tiny_config
 from dicelab.cli import main
 from dicelab.data import load_csv
@@ -56,6 +54,16 @@ def test_run_flag_overrides_change_the_output(tiny_config_path, capsys):
     out = capsys.readouterr().out
     for line in out.strip().split("\n")[1:]:
         assert line.startswith("DL_sample,3.000000,")
+
+
+@pytest.mark.parametrize(
+    "loss, effective",
+    [("TL", ["0.500000", "0.500000", "1.000000"]), ("FL", ["1.000000", "1.000000", "2.000000"])],
+)
+def test_loss_flag_gives_the_kind_its_own_defaults(loss, effective, tiny_config_path, capsys):
+    assert main(["run", "--config", tiny_config_path, "--loss", loss]) == 0
+    for line in capsys.readouterr().out.strip().split("\n")[1:]:
+        assert line.split(",")[3:6] == effective  # alpha, beta, gamma
 
 
 def test_unknown_loss_flag_is_a_usage_error(tiny_config_path, capsys):
@@ -143,6 +151,22 @@ _BAD_INPUTS = {
         "target_fraction_positive",
     ),
     "NaN jitter_sigma": (["run"], {"data": {"jitter_sigma": float("nan")}}, "jitter_sigma"),
+    "ratio whose negative count overflows": (["run", "--ratio", "1e308"], {}, "ratio 1e+308"),
+    "add_negative target whose negative count overflows": (
+        ["run"],
+        {"transform": {"kind": "add_negative", "target_fraction_positive": 5e-324}},
+        "target_fraction_positive 5e-324",
+    ),
+    "beta flag of the Tversky sweep, whose axis sets it": (
+        ["sweep-tversky", "--beta", "0.2"],
+        {},
+        "unrecognized arguments: --beta 0.2",
+    ),
+    "loss flag of the Tversky sweep, which trains TL": (
+        ["sweep-tversky", "--loss", "CE"],
+        {},
+        "unrecognized arguments: --loss CE",
+    ),
     "WCE k that makes a weight negative": (
         ["run"],
         {"data": {"ratio": 10.0}, "loss": {"kind": "WCE", "k": 0.5}},
@@ -188,9 +212,10 @@ def test_sweep_crosses_losses_and_ratios(tiny_config_path, capsys):
     assert len(lines) == 1 + 2 * 4  # two ratios x (two seeds + mean + std)
 
 
-# sha256 of the CSV that the imbalance-grid script, which ran this same sweep
-# over every loss kind, wrote with --ratios 1,10 --epochs 2 (numpy 2.4.6).
-_GRID_CSV_SHA256 = "0cc25001eee4928f43ef44cfba27d5909058a66b9ad995ebf1b22fbd27c3d38d"
+# sha256 of this sweep over every loss kind with --ratios 1,10 --epochs 2
+# (numpy 2.4.6), recorded once each swept kind took its own defaults: the TL
+# rows train at alpha = beta = 0.5 and the FL rows at gamma = 2.
+_GRID_CSV_SHA256 = "809e4a5d2b4fe90e8a12715cb9dc92f5dd3497515bf15e31f344b9bf87997fd9"
 
 
 def test_sweep_over_every_kind_reproduces_the_imbalance_grid(tmp_path):
@@ -205,6 +230,25 @@ def test_sweep_over_every_kind_reproduces_the_imbalance_grid(tmp_path):
     argv = ["sweep", "--config", str(config), "--losses", losses, "--ratios", "1,10", "--epochs", "2"]
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GRID_CSV_SHA256
+
+
+@pytest.mark.parametrize(
+    "command, short, axis",
+    [
+        ("sweep", ["--ratio", "5"], ["--ratios", "5"]),
+        ("sweep", ["--loss", "DL_sample"], ["--losses", "DL_sample"]),
+        ("sweep-tversky", ["--alpha", "0.3"], ["--alphas", "0.3"]),
+    ],
+    ids=["sweep --ratio", "sweep --loss", "sweep-tversky --alpha"],
+)
+def test_a_sweep_reads_the_flag_its_axis_sets_as_the_axis(command, short, axis, tiny_config_path, tmp_path):
+    """argparse takes a unique prefix for the whole option, so the flag cannot be ignored."""
+    outputs = []
+    for name, flags in (("short.csv", short), ("axis.csv", axis)):
+        out = tmp_path / name
+        assert main([command, "--config", tiny_config_path, *flags, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_rejects_bad_loss_lists(tiny_config_path, capsys):
@@ -293,13 +337,14 @@ def test_gen_data_rejects_a_seed_of_64_bits_or_more(tmp_path, capsys):
 # --- help -------------------------------------------------------------------
 
 
-# sha256 of `dicelab [subcommand] --help` at 80 columns, recorded under
-# Python 3.11 before the comma-list flags were parsed by argparse `type=`.
+# sha256 of `dicelab [subcommand] --help` at 80 columns under Python 3.11.
+# sweep and sweep-tversky were recorded again when they dropped the override
+# flags that their axes set.
 _HELP_SHA256 = {
     "": "688003fc9df70c226d1b93091ba0c6020cd943193e1edb08c4f67aaaecd391a9",
     "run": "def8b286454ac768e5326398105ac16913ee99707b9ae300eb056b062bf0cd82",
-    "sweep": "3403344d6ecb193f79cf4ec8f95e3cfb06f49514880699002e6815b3f0b6faa5",
-    "sweep-tversky": "fd885a815fa3b2c3f022b9b2d23f287cc4aa67b1c9bbb008d31ec328a033d8f1",
+    "sweep": "d542f8d934c43051ecc80c8d16fd93f7358c2d802f2cf3ecd48387e2131a2bb3",
+    "sweep-tversky": "9e68bd009ae149babcde11ffa9160c4e1470a90cbd0b185fd1a16855b0270aba",
     "gradcheck": "484453fc4692d9e634c32932df7cc905cea07466710b2f8f51a7428f45f9f9fc",
     "gen-data": "432e8ae390d2031df6da8ba8303b0edd4ea634ce754913e58e7d8afeb9f91dd4",
 }
@@ -333,14 +378,6 @@ def test_module_invocation_is_byte_identical_across_processes(tiny_config_path, 
     assert outputs[0] == outputs[1]
 
 
-def _env_importing_this_dicelab() -> dict:
-    """The environment with PYTHONPATH led by the directory the suite imported dicelab from."""
-    env = dict(os.environ)
-    import_root = str(Path(dicelab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
-    return env
-
-
 _SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
@@ -352,7 +389,6 @@ def test_every_script_starts(script):
         capture_output=True,
         text=True,
         timeout=60,
-        env=_env_importing_this_dicelab(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
@@ -401,7 +437,6 @@ def test_resampling_ablation_script_output_is_frozen(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
-        env=_env_importing_this_dicelab(),
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _ABLATION_CSV_SHA256
@@ -440,7 +475,6 @@ def test_console_script_is_installed():
         capture_output=True,
         text=True,
         timeout=60,
-        env=_env_importing_this_dicelab(),
     )
     _assert_help_starts_the_cli(proc)
 

@@ -68,6 +68,15 @@ def test_data_spec_validation():
         DataSpec(n_positive=10, ratio=1.0, jitter_sigma=-0.1)
 
 
+def test_data_spec_rejects_a_negative_count_beyond_the_float_range():
+    DataSpec(n_positive=1, ratio=1e308)  # a finite count, however large
+    with pytest.raises(ValueError, match="ratio 1e\\+308 times n_positive 2 "):
+        DataSpec(n_positive=2, ratio=1e308)
+    for ratio in (0.5, 1):  # a JSON ratio may be an integer
+        with pytest.raises(ValueError, match=f"ratio {ratio} times n_positive {10**400} "):
+            DataSpec(n_positive=10**400, ratio=ratio)
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
 def test_jitter_sigma_must_be_finite_and_nonnegative(sigma):
     """NaN passes a plain `< 0` test; one check serves the spec and `transform`."""
@@ -270,6 +279,29 @@ def test_wrong_side_targets_are_rejected():
         transform(batch, TransformKind.ADD_BOTH, growth_factor=0.5)
     with pytest.raises(ValueError):
         transform(batch, TransformKind.ADD_POSITIVE, target_fraction_positive=1.5)
+
+
+@pytest.mark.parametrize(
+    "kind, target, growth, field",
+    [
+        (TransformKind.ADD_NEGATIVE, 5e-324, 1.5, "target_fraction_positive 5e-324"),
+        (TransformKind.DOWNSAMPLE_NEGATIVE, 5e-324, 1.5, "target_fraction_positive 5e-324"),
+        (TransformKind.ADD_BOTH, 0.5, 1e308, "growth_factor 1e\\+308"),
+    ],
+    ids=["add_negative", "downsample_negative", "add_both"],
+)
+def test_a_count_too_large_for_a_float_names_its_field(kind, target, growth, field):
+    with pytest.raises(InfeasibleTransformError, match=field):
+        transform_counts(TransformSpec(kind, target, growth), 10, 20)
+
+
+def test_a_transform_that_leaves_no_rows_is_infeasible():
+    batch = LabeledBatch.from_arrays(np.zeros((4, 2)), np.zeros(4))
+    spec = TransformSpec(TransformKind.DOWNSAMPLE_NEGATIVE, 0.5)
+    with pytest.raises(InfeasibleTransformError, match="leaves no rows"):
+        transform_counts(spec, 0, 4)
+    with pytest.raises(InfeasibleTransformError, match="leaves no rows"):
+        transform(batch, spec.kind, target_fraction_positive=spec.target_fraction_positive)
 
 
 @pytest.mark.parametrize("kind", list(TransformKind))

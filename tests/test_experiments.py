@@ -233,6 +233,19 @@ def test_sweep_crosses_losses_with_ratios_in_sorted_order():
         assert [r.seed for r in rows[start : start + 4]] == ["1", "2", "mean", "std"]
 
 
+def test_each_swept_kind_takes_its_own_defaults():
+    rows = sweep(tiny_config(), [LossKind.TL, LossKind.FL, LossKind.DSC_SELFADJ], [2.0])
+    effective = {r.loss: (r.alpha, r.beta, r.gamma) for r in rows}
+    assert effective == {"TL": (0.5, 0.5, 1.0), "FL": (1.0, 1.0, 2.0), "DSC_selfadj": (1.0, 1.0, 1.0)}
+
+
+def test_a_given_alpha_reaches_every_swept_kind():
+    config = tiny_config(loss=LossSpec(LossKind.CE, alpha=0.25))
+    rows = sweep(config, [LossKind.TL, LossKind.FL, LossKind.DSC_SELFADJ], [2.0])
+    effective = {r.loss: (r.alpha, r.beta, r.gamma) for r in rows}
+    assert effective == {"TL": (0.25, 0.5, 1.0), "FL": (0.25, 1.0, 2.0), "DSC_selfadj": (0.25, 1.0, 1.0)}
+
+
 def test_sweep_requires_losses_and_ratios():
     with pytest.raises(ValueError):
         sweep(tiny_config(), [], [1.0])
@@ -325,6 +338,16 @@ def test_config_round_trips_through_dict_and_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(config_to_json(config))
     assert load_config(path) == config
+
+
+def test_config_round_trip_keeps_absent_hyperparameters_absent(tmp_path):
+    config = tiny_config(loss=LossSpec(LossKind.TL, beta=0.7))
+    payload = json.loads(config_to_json(config))
+    assert payload["loss"]["alpha"] is None and payload["loss"]["gamma"] is None
+    path = tmp_path / "config.json"
+    path.write_text(config_to_json(config))
+    loaded = load_config(path)
+    assert loaded == config and (loaded.loss.alpha, loaded.loss.gamma) == (None, None)
 
 
 def test_config_from_dict_applies_section_defaults():

@@ -6,6 +6,7 @@ arithmetic, no package imports) and are frozen here as literals.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -95,16 +96,23 @@ def test_one_hot_label_validation():
 
 
 def test_loss_spec_per_kind_defaults():
-    tl = LossSpec(LossKind.TL)
-    assert (tl.alpha, tl.beta, tl.gamma) == (0.5, 0.5, 1.0)
-    fl = LossSpec(LossKind.FL)
-    assert fl.gamma == 2.0
-    dl = LossSpec(LossKind.DL_SAMPLE)
-    assert dl.gamma == 1.0
+    assert LossSpec(LossKind.TL).hyperparameters() == (0.5, 0.5, 1.0)
+    assert LossSpec(LossKind.FL).hyperparameters()[2] == 2.0
+    assert LossSpec(LossKind.DL_SAMPLE).hyperparameters()[2] == 1.0
     dsc = LossSpec(LossKind.DSC_SELFADJ)
-    assert dsc.alpha == 1.0
+    assert dsc.hyperparameters()[0] == 1.0
     assert dsc.detach_weight is True  # training-oriented default
     assert LossSpec("CE").kind is LossKind.CE  # string coercion
+
+
+def test_a_kind_change_takes_the_new_kinds_defaults_and_keeps_given_values():
+    spec = LossSpec(LossKind.CE)
+    assert (spec.alpha, spec.beta, spec.gamma) == (None, None, None)  # nothing is filled in
+    assert dataclasses.replace(spec, kind=LossKind.TL).hyperparameters() == (0.5, 0.5, 1.0)
+    assert dataclasses.replace(LossSpec(LossKind.TL), kind=LossKind.FL).hyperparameters() == (1.0, 1.0, 2.0)
+    given = LossSpec(LossKind.CE, alpha=0.25, gamma=0.0)
+    for kind, effective in [(LossKind.TL, (0.25, 0.5, 0.0)), (LossKind.FL, (0.25, 1.0, 0.0))]:
+        assert dataclasses.replace(given, kind=kind).hyperparameters() == effective
 
 
 def test_loss_spec_validation():

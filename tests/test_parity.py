@@ -54,7 +54,9 @@ _PARAMETER_DIGESTS = {
     "WCE/mlp": "b4212de3eb1fc5ff71d1e331765a4ff01c2cd207954ca898413aa8bfbc1fb6cb",
 }
 
-_SWEEP_CSV_DIGEST = "cb761147cc8ca78d65c04c6c0ba4cb4ab5d2971e25d9ced71d9edf33fdd2b5f5"
+# Recorded again when a kind change stopped carrying the old kind's defaults:
+# the FL rows of this CE-based sweep now train at FL's own gamma = 2.
+_SWEEP_CSV_DIGEST = "7d989849d4852515558ea8356ba38cecdec2f0b00fbebcdf208fb9cd54cab14f"
 _TVERSKY_CSV_DIGEST = "0880c041e7faae3abc212013915cf23674d4b0ad69ba557e9c948e8a55574e69"
 
 
