@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments
-from .data import DataSpec, generate, save_csv
+from .data import generate, save_csv
 from .losses import LossKind, SingularInputError
 from .rng import check_seed
 from .trainer import TrainingDivergedError
@@ -139,15 +139,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = DataSpec(
-        n_positive=args.n_positive,
-        ratio=args.ratio,
-        easy_negative_fraction=args.easy_fraction,
-        feature_dim=args.feature_dim,
-        seed=args.seed,
-        jitter_sigma=args.jitter_sigma,
-    )
-    save_csv(generate(spec), args.out)
+    given = {
+        "n_positive": args.n_positive,
+        "ratio": args.ratio,
+        "easy_negative_fraction": args.easy_fraction,
+        "feature_dim": args.feature_dim,
+        "seed": args.seed,
+    }
+    data = experiments.default_config().data  # the defaults of every flag not given
+    save_csv(generate(replace(data, **{k: v for k, v in given.items() if v is not None})), args.out)
     return 0
 
 
@@ -195,12 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(handler=_cmd_gradcheck)
 
     p_gd = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
-    p_gd.add_argument("--n-positive", type=int, default=200)
-    p_gd.add_argument("--ratio", type=float, default=10.0)
-    p_gd.add_argument("--easy-fraction", type=float, default=0.9)
-    p_gd.add_argument("--feature-dim", type=int, default=2)
-    p_gd.add_argument("--seed", type=int, default=42)
-    p_gd.add_argument("--jitter-sigma", type=float, default=0.1)
+    p_gd.add_argument("--n-positive", type=int)
+    p_gd.add_argument("--ratio", type=float)
+    p_gd.add_argument("--easy-fraction", type=float)
+    p_gd.add_argument("--feature-dim", type=int)
+    p_gd.add_argument("--seed", type=int)
     p_gd.add_argument("--out", required=True, help="CSV path")
     p_gd.set_defaults(handler=_cmd_gen_data)
 

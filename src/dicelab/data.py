@@ -28,6 +28,12 @@ EASY_NEGATIVE_CENTER = -2.0
 HARD_NEGATIVE_CENTER = 0.5
 CLUSTER_SIGMA = 0.5
 
+# The most rows of a data spec, and of each class count a transform wants.
+# generate and transform draw each feature in a Python loop (about 0.4 s per
+# 10**5 rows of 2 features): this sits 80x above the largest benchmark batch
+# and rejects a count that would run for hours or exhaust memory.
+MAX_ROWS = 10**7
+
 
 class InfeasibleTransformError(ValueError):
     """The requested class balance cannot be reached by the chosen transform."""
@@ -82,17 +88,14 @@ class DataSpec:
     jitter_sigma: float = 0.1
 
     def __post_init__(self):
-        if self.n_positive < 1:
-            raise ValueError("n_positive must be at least 1")
-        if not (self.ratio > 0.0 and math.isfinite(self.ratio)):
+        if not 1 <= self.n_positive <= MAX_ROWS:
+            raise ValueError(f"n_positive must lie in [1, {MAX_ROWS}], got {self.n_positive}")
+        if not self.ratio > 0.0:
             raise ValueError(f"ratio must be a positive real, got {self.ratio}")
-        try:
-            n_negative = float(self.ratio * self.n_positive)
-        except OverflowError:  # an integer product beyond the float range
-            n_negative = math.inf
-        if not math.isfinite(n_negative):
+        # An integer ratio gives an exact product, a float one at worst inf.
+        if not self.n_positive + self.ratio * self.n_positive <= MAX_ROWS:
             raise ValueError(
-                f"ratio {self.ratio!r} times n_positive {self.n_positive} is too large to count negatives"
+                f"ratio {self.ratio!r} times n_positive {self.n_positive} asks for over {MAX_ROWS} rows"
             )
         if not (0.0 <= self.easy_negative_fraction <= 1.0):
             raise ValueError("easy_negative_fraction must lie in [0, 1]")
@@ -188,11 +191,11 @@ def _jittered_copies(
 
 
 def _wanted_count(spec: TransformSpec, count: float) -> int:
-    """A wanted row count rounded half up; an infinite one names the spec field that made it."""
-    if not math.isfinite(count):
+    """A wanted row count rounded half up; one above MAX_ROWS names the spec field that made it."""
+    if not count <= MAX_ROWS:  # before rounding, which cannot take inf
         field = "growth_factor" if spec.kind is TransformKind.ADD_BOTH else "target_fraction_positive"
         raise InfeasibleTransformError(
-            f"{spec.kind.value} with {field} {getattr(spec, field)!r} wants more rows than a float can count"
+            f"{spec.kind.value} with {field} {getattr(spec, field)!r} wants {count:.4g} rows, over {MAX_ROWS}"
         )
     return _round_half_up(count)
 
@@ -206,8 +209,8 @@ def transform_counts(spec: TransformSpec, n_pos: int, n_neg: int) -> tuple[int, 
     downsample_negative the negatives. Target 1 wants no negatives, target 0
     no positives. The one feasibility rule: original and the add kinds may only
     grow each class, downsample_negative may only shrink the negatives, a
-    class that must grow needs a row to copy, every count must be finite and
-    at least one row must remain; else InfeasibleTransformError.
+    class that must grow needs a row to copy, no count it sets may exceed
+    MAX_ROWS and at least one row must remain; else InfeasibleTransformError.
     """
     kind, target = spec.kind, spec.target_fraction_positive
     if kind in (TransformKind.ORIGINAL, TransformKind.ADD_BOTH):

@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .data import DataSpec, TransformKind, TransformSpec, _round_half_up, generate, transform, transform_counts
-from .losses import WEIGHTED_KINDS, LossKind, LossSpec, class_weight_coefficient
+from .losses import LossKind, LossSpec, class_weights
 from .metrics import ClassifierMetrics, check_threshold
 from .rng import check_seed, splitmix64_at
 from .trainer import ModelSpec, TrainSpec, evaluate, train
@@ -52,9 +52,7 @@ class ExperimentConfig:
             )
         # `generate` yields the spec's class counts, so the training batch's counts are known here.
         n_pos, n_neg = transform_counts(self.transform, self.data.n_positive, self.data.n_negative)
-        if self.loss.kind in WEIGHTED_KINDS:
-            for n_class in (n_neg, n_pos):
-                class_weight_coefficient(n_pos + n_neg, n_class, self.loss.k)
+        class_weights(self.loss, n_pos, n_neg)  # raises for an absent class or a negative weight
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,17 @@ def class_weight_coefficient(n_total: int, n_class: int, k: float) -> float:
     return math.log10(argument)
 
 
+def class_weights(spec: LossSpec, n_pos: int, n_neg: int) -> tuple[float, float] | None:
+    """(w0, w1) for n_pos positives and n_neg negatives, or None for an unweighted kind.
+
+    The WEIGHTED_KINDS (WCE, FL) weigh each class by its `class_weight_coefficient`.
+    """
+    if spec.kind not in WEIGHTED_KINDS:
+        return None
+    n = n_pos + n_neg
+    return class_weight_coefficient(n, n_neg, spec.k), class_weight_coefficient(n, n_pos, spec.k)
+
+
 # ---------------------------------------------------------------------------
 # Fused kernels: kernel(spec, p1, y1, weights) -> (values, d values / d p1).
 # Each computes its loss's shared terms once. Every value expression keeps

@@ -67,8 +67,7 @@ class TrainSpec:
 class TrainedModel:
     """Flat parameter vector plus the model spec needed to interpret it.
 
-    Parameter layout: linear is [w (d), b]; mlp is [W1 row-major (h, d),
-    b1 (h), w2 (h), b2].
+    `_layers` is the one reader of the layout.
     """
 
     parameters: np.ndarray
@@ -115,20 +114,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _forward_parts(params: np.ndarray, model_spec: ModelSpec, x: np.ndarray):
-    """p1 for a feature matrix, plus the hidden activations the backward pass needs."""
-    d = x.shape[1]
+def _layers(vector: np.ndarray, model_spec: ModelSpec, d: int):
+    """Views (W1, b1, w, b) of a flat parameter or gradient vector; b has length 1.
+
+    The mlp's layout is [W1 row-major (h, d), b1 (h), w (h), b]. The linear
+    model is its output head applied to the d features: [w (d), b], with no W1, b1.
+    """
     if model_spec.arch == "linear":
-        w = params[:d]
-        b = params[d]
-        return _sigmoid(x @ w + b), None
-    h = model_spec.hidden_units
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d : h * d + h]
-    w2 = params[h * d + h : h * d + 2 * h]
-    b2 = params[h * d + 2 * h]
-    hidden = np.tanh(x @ w1.T + b1)
-    return _sigmoid(hidden @ w2 + b2), hidden
+        return None, None, vector[:d], vector[d:]
+    h, hd = model_spec.hidden_units, model_spec.hidden_units * d
+    return vector[:hd].reshape(h, d), vector[hd : hd + h], vector[hd + h : -1], vector[-1:]
+
+
+def _forward_parts(params: np.ndarray, model_spec: ModelSpec, x: np.ndarray):
+    """p1 for a feature matrix, plus the head's input, which the backward pass needs."""
+    w1, b1, w, b = _layers(params, model_spec, x.shape[1])
+    hidden = x if w1 is None else np.tanh(x @ w1.T + b1)
+    return _sigmoid(hidden @ w + b[0]), hidden
 
 
 def forward_p1(model: "TrainedModel", features: np.ndarray) -> np.ndarray:
@@ -150,23 +152,19 @@ def forward(model: "TrainedModel", features) -> ProbPair:
 
 
 def _backward(
-    params: np.ndarray, model_spec: ModelSpec, x: np.ndarray, hidden, dz: np.ndarray
+    params: np.ndarray, model_spec: ModelSpec, x: np.ndarray, hidden: np.ndarray, dz: np.ndarray
 ) -> np.ndarray:
     """Parameter gradient given dz = dL/d(pre-sigmoid logit) per example."""
+    grad = np.empty(params.shape)
     d = x.shape[1]
-    if model_spec.arch == "linear":
-        grad = np.empty(d + 1, dtype=np.float64)
-        grad[:d] = x.T @ dz
-        grad[d] = dz.sum()
-        return grad
-    h = model_spec.hidden_units
-    w2 = params[h * d + h : h * d + 2 * h]
-    d_hidden = np.outer(dz, w2) * (1.0 - hidden * hidden)
-    grad = np.empty(params.shape[0], dtype=np.float64)
-    grad[: h * d] = (d_hidden.T @ x).reshape(-1)
-    grad[h * d : h * d + h] = d_hidden.sum(axis=0)
-    grad[h * d + h : h * d + 2 * h] = hidden.T @ dz
-    grad[h * d + 2 * h] = np.sum(dz)
+    g_w1, g_b1, g_w, g_b = _layers(grad, model_spec, d)
+    np.matmul(hidden.T, dz, out=g_w)
+    g_b[0] = dz.sum()
+    if g_w1 is not None:
+        w = _layers(params, model_spec, d)[2]
+        d_hidden = np.outer(dz, w) * (1.0 - hidden * hidden)
+        np.matmul(d_hidden.T, x, out=g_w1)
+        d_hidden.sum(axis=0, out=g_b1)
     return grad
 
 
@@ -189,16 +187,6 @@ def loss_and_param_grad(
     return value, _backward(params, model_spec, x, hidden, dz)
 
 
-def compute_class_weights(labels: np.ndarray, k: float) -> tuple[float, float]:
-    """Per-class frequency weights (w0, w1) used by the weighted kinds."""
-    n = labels.shape[0]
-    n_pos = int(np.sum(labels == 1))
-    return (
-        losses.class_weight_coefficient(n, n - n_pos, k),
-        losses.class_weight_coefficient(n, n_pos, k),
-    )
-
-
 def train(
     data: LabeledBatch,
     loss_spec: LossSpec,
@@ -213,9 +201,7 @@ def train(
         raise ValueError("training data is empty")
     input_dim = x.shape[1]
 
-    class_weights = None
-    if loss_spec.kind in losses.WEIGHTED_KINDS:
-        class_weights = compute_class_weights(data.labels, loss_spec.k)
+    class_weights = losses.class_weights(loss_spec, data.n_positive, data.n_negative)
 
     params = initial_parameters(model_spec, input_dim, train_spec)
     lr = train_spec.learning_rate

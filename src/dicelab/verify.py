@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .losses import (
-    WEIGHTED_KINDS,
+    DICE_FAMILY,
     LossKind,
     LossSpec,
     OneHotLabel,
     ProbPair,
-    class_weight_coefficient,
+    class_weights,
     sample_grad,
     sample_value,
     set_dice_grads,
@@ -35,7 +35,7 @@ DEFAULT_STEP = 1e-6
 # Kinds whose value involves a logarithm; the clamp would corrupt a finite
 # difference that steps outside (0, 1), so those steps are rejected. The
 # dice family is rational in p1 and can be differenced on the closed interval.
-_LOG_KINDS = frozenset({LossKind.CE, LossKind.WCE, LossKind.FL})
+_LOG_KINDS = frozenset(LossKind) - DICE_FAMILY
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,9 @@ def _check_scalar_sample(kind: LossKind, rng: Xoshiro256StarStar) -> tuple[float
     # detach_weight is pinned False: the detached gradient is deliberately not
     # d(value)/dp1, so differencing the value cannot confirm it.
     spec = LossSpec(kind, alpha=alpha, beta=beta, gamma=gamma, k=k, detach_weight=False)
-    class_weight = 1.0
-    if kind in WEIGHTED_KINDS:
-        # Exercise the weight path with the same coefficient the trainer uses.
-        class_weight = class_weight_coefficient(100, 50, k)
+    # Exercise the weight path with the weights the trainer gives a balanced batch.
+    weights = class_weights(spec, 50, 50)
+    class_weight = 1.0 if weights is None else weights[y1]
     analytic = float(sample_grad(spec, p1, y1, class_weight))
     estimate = finite_diff_grad(spec, p1, OneHotLabel.from_class(y1), class_weight=class_weight)
     abs_err, rel_err = _sample_errors(analytic, estimate)

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import tiny_config
 from dicelab.cli import main
-from dicelab.data import load_csv
-from dicelab.experiments import CSV_COLUMNS, config_to_json
+from dicelab.data import generate, load_csv, save_csv
+from dicelab.experiments import CSV_COLUMNS, config_to_json, default_config
 from dicelab.losses import LossKind
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -156,6 +156,14 @@ _BAD_INPUTS = {
         ["run"],
         {"transform": {"kind": "add_negative", "target_fraction_positive": 5e-324}},
         "target_fraction_positive 5e-324",
+    ),
+    "JSON integer ratio beyond the float range": (["run"], {"data": {"ratio": 10**400}}, "ratio 1000"),
+    "ratio of 1e300 that numpy cannot allocate": (["run", "--ratio", "1e300"], {}, "ratio 1e+300"),
+    "ratio whose rows exceed the ceiling": (["run", "--ratio", "1e8"], {}, "ratio 100000000.0"),
+    "add_negative target whose rows exceed the ceiling": (
+        ["run"],
+        {"transform": {"kind": "add_negative", "target_fraction_positive": 1e-9}},
+        "target_fraction_positive 1e-09",
     ),
     "beta flag of the Tversky sweep, whose axis sets it": (
         ["sweep-tversky", "--beta", "0.2"],
@@ -321,6 +329,19 @@ def test_gen_data_writes_a_loadable_csv(tmp_path):
     assert batch.features.shape == (30, 2)
 
 
+def test_gen_data_defaults_are_the_default_config_data(tmp_path):
+    out, expected = tmp_path / "data.csv", tmp_path / "expected.csv"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    save_csv(generate(default_config().data), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_gen_data_has_no_jitter_sigma_flag(tmp_path, capsys):
+    """generate draws no jitter, so the flag would be accepted and ignored."""
+    assert main(["gen-data", "--jitter-sigma", "0.5", "--out", str(tmp_path / "data.csv")]) == 2
+    assert "unrecognized arguments: --jitter-sigma 0.5" in capsys.readouterr().err
+
+
 def test_gen_data_rejects_bad_ratio(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert main(["gen-data", "--ratio", "-1", "--out", str(out)]) == 2
@@ -339,14 +360,14 @@ def test_gen_data_rejects_a_seed_of_64_bits_or_more(tmp_path, capsys):
 
 # sha256 of `dicelab [subcommand] --help` at 80 columns under Python 3.11.
 # sweep and sweep-tversky were recorded again when they dropped the override
-# flags that their axes set.
+# flags that their axes set, and gen-data when it dropped --jitter-sigma.
 _HELP_SHA256 = {
     "": "688003fc9df70c226d1b93091ba0c6020cd943193e1edb08c4f67aaaecd391a9",
     "run": "def8b286454ac768e5326398105ac16913ee99707b9ae300eb056b062bf0cd82",
     "sweep": "d542f8d934c43051ecc80c8d16fd93f7358c2d802f2cf3ecd48387e2131a2bb3",
     "sweep-tversky": "9e68bd009ae149babcde11ffa9160c4e1470a90cbd0b185fd1a16855b0270aba",
     "gradcheck": "484453fc4692d9e634c32932df7cc905cea07466710b2f8f51a7428f45f9f9fc",
-    "gen-data": "432e8ae390d2031df6da8ba8303b0edd4ea634ce754913e58e7d8afeb9f91dd4",
+    "gen-data": "f37d29597729bb640d0eb8dd6a82de158c545db494cfd96db68940d0289c17a7",
 }
 
 

@@ -13,6 +13,7 @@ from dicelab.data import (
     CLUSTER_SIGMA,
     EASY_NEGATIVE_CENTER,
     HARD_NEGATIVE_CENTER,
+    MAX_ROWS,
     POSITIVE_CENTER,
     DataSpec,
     InfeasibleTransformError,
@@ -68,12 +69,17 @@ def test_data_spec_validation():
         DataSpec(n_positive=10, ratio=1.0, jitter_sigma=-0.1)
 
 
-def test_data_spec_rejects_a_negative_count_beyond_the_float_range():
-    DataSpec(n_positive=1, ratio=1e308)  # a finite count, however large
+def test_data_spec_rejects_more_rows_than_the_ceiling():
+    assert DataSpec(n_positive=1, ratio=MAX_ROWS - 1).n_total == MAX_ROWS
+    assert DataSpec(n_positive=MAX_ROWS // 2, ratio=1).n_total == MAX_ROWS
+    with pytest.raises(ValueError, match=f"ratio {MAX_ROWS} times n_positive 1 "):
+        DataSpec(n_positive=1, ratio=MAX_ROWS)
     with pytest.raises(ValueError, match="ratio 1e\\+308 times n_positive 2 "):
         DataSpec(n_positive=2, ratio=1e308)
-    for ratio in (0.5, 1):  # a JSON ratio may be an integer
-        with pytest.raises(ValueError, match=f"ratio {ratio} times n_positive {10**400} "):
+    with pytest.raises(ValueError, match=f"ratio {10**400} times n_positive 1 "):
+        DataSpec(n_positive=1, ratio=10**400)  # a JSON ratio may be an integer
+    for ratio in (0.5, 1.0):  # n_positive is checked first, as an integer
+        with pytest.raises(ValueError, match=f"n_positive must lie in \\[1, {MAX_ROWS}\\], got {10**400}"):
             DataSpec(n_positive=10**400, ratio=ratio)
 
 

@@ -30,6 +30,7 @@ from dicelab.losses import (
     batch_mean_loss,
     batch_value_grad,
     class_weight_coefficient,
+    class_weights,
     clamp_probability,
     cross_entropy_grad,
     cross_entropy_value,
@@ -201,6 +202,18 @@ def test_class_weight_coefficient_names_k_when_the_weight_would_be_negative():
     with pytest.raises(ValueError, match=r"k = 0\.5 .* class with 1000 of 1100 examples negative"):
         class_weight_coefficient(1100, 1000, 0.5)
     assert class_weight_coefficient(1100, 1000, 0.9) == 0.0  # log10(1): zero, not negative
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=[k.value for k in LossKind])
+def test_class_weights_are_the_coefficients_of_the_weighted_kinds_only(kind):
+    """20 positives and 80 negatives: (w0, w1) = (log10(20/80 + k), log10(80/20 + k))."""
+    spec = LossSpec(kind, k=2.0)
+    if kind in (LossKind.WCE, LossKind.FL):
+        expected = (class_weight_coefficient(100, 80, 2.0), class_weight_coefficient(100, 20, 2.0))
+        assert class_weights(spec, 20, 80) == expected
+        assert expected == pytest.approx((math.log10(2.25), math.log10(6.0)), **APPROX)
+    else:
+        assert class_weights(spec, 20, 80) is None
 
 
 def test_weighted_cross_entropy_scales_cross_entropy():

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from dicelab.data import DataSpec, LabeledBatch, generate
-from dicelab.losses import LossKind, LossSpec, batch_value_grad
+from dicelab.losses import LossKind, LossSpec, batch_value_grad, class_weights
 from dicelab.rng import Xoshiro256StarStar
 from dicelab.trainer import (
     ModelSpec,
     TrainedModel,
     TrainingDivergedError,
     TrainSpec,
-    compute_class_weights,
     evaluate,
     forward,
     forward_p1,
@@ -34,12 +33,6 @@ def _make_linear(params, input_dim=2) -> TrainedModel:
 
 def _spec_with_true_gradient(kind: LossKind) -> LossSpec:
     return LossSpec(kind, detach_weight=False)
-
-
-def _class_weights_for(kind: LossKind, labels: np.ndarray, k: float = 1.0):
-    if kind in (LossKind.WCE, LossKind.FL):
-        return compute_class_weights(labels, k)
-    return None
 
 
 # --- specs ------------------------------------------------------------------
@@ -122,7 +115,7 @@ def test_parameter_gradient_matches_finite_differences(kind):
     data = generate(DataSpec(n_positive=4, ratio=1.0, seed=3))
     x, y1 = data.features, data.labels.astype(np.float64)
     spec = _spec_with_true_gradient(kind)
-    weights = _class_weights_for(kind, data.labels)
+    weights = class_weights(spec, data.n_positive, data.n_negative)
     params = initial_parameters(ModelSpec(), 2, TrainSpec(seed=0))
     _, grad = loss_and_param_grad(params, ModelSpec(), x, y1, spec, weights)
     h = 1e-6
@@ -201,7 +194,7 @@ def test_loss_descends_within_ten_epochs(kind):
     data = generate(DataSpec(n_positive=40, ratio=1.0, easy_negative_fraction=1.0, seed=11))
     spec = _spec_with_true_gradient(kind)
     y1 = data.labels.astype(np.float64)
-    weights = _class_weights_for(kind, data.labels)
+    weights = class_weights(spec, data.n_positive, data.n_negative)
 
     def whole_set_loss(epochs):
         train_spec = TrainSpec(learning_rate=0.01, epochs=epochs, batch_size=16, seed=2)
@@ -259,8 +252,8 @@ def test_training_rejects_empty_data():
 
 
 def test_weighted_kinds_use_frequency_weights_from_the_training_labels():
-    labels = np.array([0] * 80 + [1] * 20)
-    w0, w1 = compute_class_weights(labels, 1.0)
+    data = LabeledBatch.from_arrays(np.zeros((100, 2)), np.array([0] * 80 + [1] * 20))
+    w0, w1 = class_weights(LossSpec(LossKind.WCE, k=1.0), data.n_positive, data.n_negative)
     assert w0 == pytest.approx(math.log10(1.25), rel=1e-12)
     assert w1 == pytest.approx(math.log10(5.0), rel=1e-12)
 
