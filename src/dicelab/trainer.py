@@ -95,7 +95,7 @@ def initial_parameters(model_spec: ModelSpec, input_dim: int, train_spec: TrainS
     """Gaussian init, drawn sequentially in parameter-vector order."""
     rng = Xoshiro256StarStar(train_spec.seed)
     n = parameter_count(model_spec, input_dim)
-    return np.array([train_spec.init_scale * rng.normal() for _ in range(n)], dtype=np.float64)
+    return train_spec.init_scale * rng.normals(n)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ _BAD_INPUTS = {
         {"transform": {"kind": "add_negative", "target_fraction_positive": 5e-324}},
         "target_fraction_positive 5e-324",
     ),
-    "JSON integer ratio beyond the float range": (["run"], {"data": {"ratio": 10**400}}, "ratio 1000"),
+    "JSON integer ratio beyond the float range": (["run"], {"data": {"ratio": 10**400}}, "ratio 1.000e+400"),
     "ratio of 1e300 that numpy cannot allocate": (["run", "--ratio", "1e300"], {}, "ratio 1e+300"),
     "ratio whose rows exceed the ceiling": (["run", "--ratio", "1e8"], {}, "ratio 100000000.0"),
     "add_negative target whose rows exceed the ceiling": (
@@ -193,6 +193,28 @@ def test_bad_input_exits_2_with_one_error_line_that_names_it(argv, sections, nam
     assert len(errors) == 1 and named in errors[0], captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["n_positive", "ratio"])
+def test_a_huge_json_integer_gives_a_short_error_line(field, tmp_path, capsys):
+    """A JSON integer has no bound; the error prints it to 4 digits, not all 401."""
+    path = _config_path(tmp_path, data={field: 10**400})
+    assert main(["run", "--config", path]) == 2
+    (error,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert field in error and "1.000e+400" in error and len(error) < 160, error
+
+
+def test_a_transformed_batch_over_the_row_ceiling_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    """5M + 5M rows is at the ceiling, but add_both 1.9 wants 19M in all."""
+    monkeypatch.setattr("dicelab.experiments.generate", lambda spec: pytest.fail("data were drawn"))
+    path = _config_path(
+        tmp_path,
+        data={"n_positive": 5_000_000, "ratio": 1},
+        transform={"kind": "add_both", "growth_factor": 1.9},
+    )
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "growth_factor 1.9" in err and "over 10000000 rows" in err, err
 
 
 @pytest.mark.parametrize(

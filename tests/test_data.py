@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from dicelab.data import (
     CLUSTER_SIGMA,
     EASY_NEGATIVE_CENTER,
     HARD_NEGATIVE_CENTER,
+    _CSV_BLOCK_ROWS,
     MAX_ROWS,
     POSITIVE_CENTER,
     DataSpec,
@@ -26,6 +28,7 @@ from dicelab.data import (
     transform,
     transform_counts,
 )
+from dicelab.rng import _LANE_STEPS, _LANES_FROM, Xoshiro256StarStar
 
 
 def _batch_37_63(seed: int = 0) -> LabeledBatch:
@@ -76,11 +79,15 @@ def test_data_spec_rejects_more_rows_than_the_ceiling():
         DataSpec(n_positive=1, ratio=MAX_ROWS)
     with pytest.raises(ValueError, match="ratio 1e\\+308 times n_positive 2 "):
         DataSpec(n_positive=2, ratio=1e308)
-    with pytest.raises(ValueError, match=f"ratio {10**400} times n_positive 1 "):
+    with pytest.raises(ValueError, match="ratio 1.000e\\+400 times n_positive 1 "):
         DataSpec(n_positive=1, ratio=10**400)  # a JSON ratio may be an integer
     for ratio in (0.5, 1.0):  # n_positive is checked first, as an integer
-        with pytest.raises(ValueError, match=f"n_positive must lie in \\[1, {MAX_ROWS}\\], got {10**400}"):
+        with pytest.raises(ValueError, match=f"n_positive must lie in \\[1, {MAX_ROWS}\\], got 1.000e\\+400$"):
             DataSpec(n_positive=10**400, ratio=ratio)
+    with pytest.raises(ValueError, match="ratio must be a positive real, got -1.000e\\+400$"):
+        DataSpec(n_positive=1, ratio=-(10**400))
+    with pytest.raises(ValueError, match=f"ratio {10**19} times"):  # up to 20 digits print in full
+        DataSpec(n_positive=1, ratio=10**19)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
@@ -301,6 +308,17 @@ def test_a_count_too_large_for_a_float_names_its_field(kind, target, growth, fie
         transform_counts(TransformSpec(kind, target, growth), 10, 20)
 
 
+def test_the_row_ceiling_bounds_the_transformed_batch_not_each_class():
+    assert transform_counts(TransformSpec(TransformKind.ADD_BOTH, growth_factor=1.9), MAX_ROWS // 4, 0) == (
+        MAX_ROWS // 4 * 19 // 10,
+        0,
+    )
+    with pytest.raises(InfeasibleTransformError, match=f"growth_factor 1.9 wants .* over {MAX_ROWS} rows"):
+        transform_counts(TransformSpec(TransformKind.ADD_BOTH, growth_factor=1.9), 5_000_000, 5_000_000)
+    with pytest.raises(InfeasibleTransformError, match=f"target_fraction_positive 0.45 wants .* over {MAX_ROWS}"):
+        transform_counts(TransformSpec(TransformKind.ADD_POSITIVE, 0.45), 3_000_000, 6_000_000)
+
+
 def test_a_transform_that_leaves_no_rows_is_infeasible():
     batch = LabeledBatch.from_arrays(np.zeros((4, 2)), np.zeros(4))
     spec = TransformSpec(TransformKind.DOWNSAMPLE_NEGATIVE, 0.5)
@@ -381,7 +399,128 @@ def test_from_arrays_validates_and_counts():
     assert batch.positive_fraction == pytest.approx(2.0 / 3.0)
 
 
+# --- bulk draws against the per-element loops they replaced -------------------
+
+
+class _ScalarStream:
+    """The draws of the per-element loops: one next_u64 per randbelow, one scalar Box-Muller per normal."""
+
+    def __init__(self, seed: int):
+        self.gen = Xoshiro256StarStar(seed)
+        self.spare = None
+
+    def randbelow(self, n: int) -> int:
+        return self.gen.next_u64() % n
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = ((self.gen.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (self.gen.next_u64() >> 11) * 2.0**-53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+
+def _loop_generate(spec: DataSpec) -> np.ndarray:
+    rng = _ScalarStream(spec.seed)
+    n_easy = math.floor(spec.easy_negative_fraction * spec.n_negative + 0.5)
+    centers = (
+        [POSITIVE_CENTER] * spec.n_positive
+        + [EASY_NEGATIVE_CENTER] * n_easy
+        + [HARD_NEGATIVE_CENTER] * (spec.n_negative - n_easy)
+    )
+    features = np.empty((spec.n_total, spec.feature_dim))
+    for i, center in enumerate(centers):
+        for j in range(spec.feature_dim):
+            features[i, j] = center + CLUSTER_SIGMA * rng.normal()
+    return features
+
+
+def _loop_transform(batch: LabeledBatch, spec: TransformSpec, seed: int, jitter_sigma: float):
+    rng = _ScalarStream(seed)
+    features, labels = batch.features, batch.labels
+    want_pos, want_neg = transform_counts(spec, batch.n_positive, batch.n_negative)
+    if want_neg < batch.n_negative:
+        n_remove = batch.n_negative - want_neg
+        neg_positions = list(np.flatnonzero(labels == 0))
+        for i in range(n_remove):
+            j = i + rng.randbelow(len(neg_positions) - i)
+            neg_positions[i], neg_positions[j] = neg_positions[j], neg_positions[i]
+        keep = np.ones(batch.n, dtype=bool)
+        keep[neg_positions[:n_remove]] = False
+        return features[keep], labels[keep]
+    parts, part_labels = [features], [labels]
+    for label, n_add in ((1, want_pos - batch.n_positive), (0, want_neg - batch.n_negative)):
+        source = np.flatnonzero(labels == label)
+        out = np.empty((n_add, features.shape[1]))
+        for i in range(n_add):
+            template = features[source[rng.randbelow(source.shape[0])]]
+            for j in range(features.shape[1]):
+                out[i, j] = template[j] + jitter_sigma * rng.normal()
+        parts.append(out)
+        part_labels.append(np.full(n_add, label))
+    return np.concatenate(parts), np.concatenate(part_labels)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_positive, ratio", [(1, 1.0), (7, 2.5), (300, 20.0)])
+def test_generate_equals_the_per_element_loop(d, n_positive, ratio):
+    spec = DataSpec(n_positive=n_positive, ratio=ratio, feature_dim=d, seed=2**64 - 1 - d)
+    assert generate(spec).features.tobytes() == _loop_generate(spec).tobytes()
+
+
+_ORACLE_SPECS = [
+    TransformSpec(TransformKind.ORIGINAL),
+    TransformSpec(TransformKind.ADD_POSITIVE, 0.5),
+    TransformSpec(TransformKind.ADD_NEGATIVE, 0.02),
+    TransformSpec(TransformKind.DOWNSAMPLE_NEGATIVE, 0.5),
+    TransformSpec(TransformKind.ADD_BOTH, growth_factor=1.5),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=[s.kind.value for s in _ORACLE_SPECS])
+def test_transform_equals_the_per_element_loops(spec, d):
+    """Large enough that every kind but original draws in lanes; odd d moves the spare across rows."""
+    batch = generate(DataSpec(n_positive=300, ratio=20.0, feature_dim=d, seed=d))
+    features, labels = _loop_transform(batch, spec, seed=40 + d, jitter_sigma=0.3)
+    changed = abs(features.shape[0] - batch.n)
+    draws = changed if spec.kind is TransformKind.DOWNSAMPLE_NEGATIVE else changed * (1 + d)
+    assert draws >= _LANES_FROM * _LANE_STEPS or spec.kind is TransformKind.ORIGINAL
+    got = transform(batch, spec.kind, spec.target_fraction_positive, 40 + d, 0.3, spec.growth_factor)
+    assert got.features.tobytes() == features.tobytes()
+    assert np.array_equal(got.labels, labels) and got.labels.dtype == np.int64
+
+
 # --- CSV --------------------------------------------------------------------
+
+
+def test_save_csv_bytes_are_format_9g_of_every_cell(tmp_path):
+    """Rows straddle a write block; the first rows hold the cells whose text is least obvious."""
+    special = [-0.0, 1e-300, 1.2e11, 5e-324, -1.7976931348623157e308, 0.1, 123456789.5, float("inf")]
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(_CSV_BLOCK_ROWS + 5, 2)) * 10.0 ** rng.integers(-12, 12, size=(_CSV_BLOCK_ROWS + 5, 1))
+    features[:4] = np.reshape(special, (4, 2))
+    labels = np.arange(features.shape[0]) % 3 == 0
+    path = tmp_path / "cells.csv"
+    save_csv(LabeledBatch.from_arrays(features, labels), path)
+    rows = ["f0,f1,label"] + [
+        ",".join([format(x, ".9g") for x in row] + [str(int(label))]) for row, label in zip(features, labels)
+    ]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_load_csv_reports_a_non_finite_row_only_after_every_row_parsed(tmp_path):
+    path = tmp_path / "late.csv"
+    path.write_text("f0,label\nnan,1\n0.5,0\n0.5,0,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: row has 3 cells, expected 2")):
+        load_csv(path)
+    path.write_text("f0,label\n\n0.5,1\n  \n1e999,0\ninf,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: feature values must be finite, got '1e999,0'")):
+        load_csv(path)
 
 
 def test_csv_round_trip_preserves_labels_and_features_to_nine_digits(tmp_path):
@@ -392,8 +531,10 @@ def test_csv_round_trip_preserves_labels_and_features_to_nine_digits(tmp_path):
     assert text.startswith("f0,f1,f2,label\n")
     assert text.endswith("\n")
     loaded = load_csv(path)
-    assert np.array_equal(loaded.labels, batch.labels)
+    assert np.array_equal(loaded.labels, batch.labels) and loaded.labels.dtype == np.int64
     np.testing.assert_allclose(loaded.features, batch.features, rtol=5e-9, atol=1e-12)
+    nine_digits = [[float(format(x, ".9g")) for x in row] for row in batch.features]
+    assert loaded.features.tobytes() == np.array(nine_digits).tobytes()
     assert (loaded.n_negative, loaded.n_positive) == (batch.n_negative, batch.n_positive)
 
 

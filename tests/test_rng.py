@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicelab.rng import (
+    _BLOCK_PAIRS,
+    _LANE_STEPS,
+    _LANES_FROM,
     Xoshiro256StarStar,
     permutation,
     permutation_keys,
@@ -174,6 +177,67 @@ def test_normal_seed7_frozen_pair():
     gen = Xoshiro256StarStar(7)
     assert gen.normal() == -0.15157274547711355
     assert gen.normal() == 0.8298970879692569
+
+
+class _RefNormals:
+    """Scalar Box-Muller over _RefXoshiro, one normal per call, the sine mate kept as a spare."""
+
+    def __init__(self, seed: int):
+        self.ref = _RefXoshiro(seed)
+        self.spare = None
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = ((self.ref.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (self.ref.next_u64() >> 11) * 2.0**-53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+
+_M = _LANE_STEPS
+_BULK_LENGTHS = [0, 1, _M - 1, _M, _M + 1, 3 * _M + 17, _LANES_FROM * _M - 1, _LANES_FROM * _M, _LANES_FROM * _M + 1]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", _BULK_LENGTHS + [10**5])
+def test_next_u64_array_is_the_sequential_stream_and_leaves_its_state(seed, n):
+    bulk = Xoshiro256StarStar(seed)
+    scalar = Xoshiro256StarStar(seed)
+    ref = _RefXoshiro(seed)
+    got = bulk.next_u64_array(n)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    expected = [ref.next_u64() for _ in range(n)]
+    assert got.tolist() == expected == [scalar.next_u64() for _ in range(n)]
+    assert bulk._s == scalar._s == ref.s
+    assert bulk.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_bulk_and_scalar_draws_interleave(seed):
+    gen = Xoshiro256StarStar(seed)
+    ref = _RefNormals(seed)
+    for n in _BULK_LENGTHS + [_LANES_FROM * _M + 3 * _M + 17]:
+        assert gen.next_u64() == ref.ref.next_u64()
+        assert gen.next_u64_array(n).tolist() == [ref.ref.next_u64() for _ in range(n)]
+        assert gen.normal() == ref.normal()
+        assert gen.normals(n).tolist() == [ref.normal() for _ in range(n)]
+    assert gen._s == ref.ref.s
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["no spare", "spare pending"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 2 * _LANES_FROM * _M + 1, 4 * _BLOCK_PAIRS + 1])
+def test_normals_equal_scalar_box_muller(n, spare):
+    """The last length spans three libm blocks of pairs."""
+    gen = Xoshiro256StarStar(11)
+    ref = _RefNormals(11)
+    if spare:  # one normal of a pair leaves its sine pending
+        assert gen.normal() == ref.normal()
+    assert gen.normals(n).tolist() == [ref.normal() for _ in range(n)]
+    assert (gen._spare_normal, gen._s) == (ref.spare, ref.ref.s)
 
 
 def test_normal_sample_moments_are_plausible():
